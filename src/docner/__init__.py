@@ -6,7 +6,7 @@ standard architectures: a fine-tuned transformer with a linear or CRF
 head, and a frozen-feature BiLSTM-CRF.
 """
 
-from .context import ContextConfig, ContextualizedSentence, build_context, context_coverage
+from .context import ContextConfig, ContextualizedSentence, SubtokenStream, build_context
 from .corpus import (Corpus, Document, ParseError, Sentence, Span, TagScheme, Token,
                      convert_scheme, parse_conll, spans_from_tags)
 from .encoder import (StaticEmbeddingTable, TransformerConfig, TransformerEncoder,
@@ -25,7 +25,7 @@ from .training import (FeatureBasedConfig, FineTuneConfig, TrainLog, one_cycle_l
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContextConfig", "ContextualizedSentence", "build_context", "context_coverage",
+    "ContextConfig", "ContextualizedSentence", "SubtokenStream", "build_context",
     "Corpus", "Document", "ParseError", "Sentence", "Span", "TagScheme", "Token",
     "convert_scheme", "parse_conll", "spans_from_tags",
     "StaticEmbeddingTable", "TransformerConfig", "TransformerEncoder",

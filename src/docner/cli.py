@@ -14,8 +14,9 @@ from pathlib import Path
 from .context import ContextConfig
 from .corpus import DOCSTART, OUTSIDE, parse_conll
 from .evaluation import score
-from .experiments import ExperimentConfig, run_experiment, run_seed, sweep_context
-from .model import NerModel
+from .experiments import (ExperimentConfig, load_inputs, run_experiment, run_seed,
+                          sweep_context)
+from .model import NerModel, predict_corpus
 from .tokenizer import train_vocab
 
 
@@ -101,18 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _override_context(context: ContextConfig, args) -> ContextConfig:
+    """`context` with any --context-window/--enforce-boundaries flag applied."""
+    flags = {"window": getattr(args, "context_window", None),
+             "enforce_boundaries": getattr(args, "enforce_boundaries", None)}
+    return dataclasses.replace(
+        context, **{k: v for k, v in flags.items() if v is not None})
+
+
 def _load_config(path: str, args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(Path(path).read_text(encoding="utf-8"))
     if getattr(args, "out_dir", None):
         cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
-    window = getattr(args, "context_window", None)
-    enforce = getattr(args, "enforce_boundaries", None)
-    if window is not None or enforce is not None:
-        cfg = dataclasses.replace(cfg, context=ContextConfig(
-            window=cfg.context.window if window is None else window,
-            enforce_boundaries=(cfg.context.enforce_boundaries
-                                if enforce is None else enforce)))
-    return cfg
+    return dataclasses.replace(cfg, context=_override_context(cfg.context, args))
 
 
 def cmd_train_vocab(args) -> int:
@@ -128,8 +130,6 @@ def cmd_train_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .experiments import ensure_vocab, load_corpus
-
     cfg = _load_config(args.config, args)
     if args.mode:
         cfg = dataclasses.replace(cfg, mode=args.mode)
@@ -147,12 +147,7 @@ def cmd_train(args) -> int:
             cfg, transformer=dataclasses.replace(cfg.transformer,
                                                  dropout=args.dropout))
 
-    exp_dir = Path(cfg.out_dir) / cfg.name
-    exp_dir.mkdir(parents=True, exist_ok=True)
-    train = load_corpus(cfg.train_path, cfg, "train")
-    dev = load_corpus(cfg.dev_path, cfg, "dev") if cfg.dev_path else None
-    test = load_corpus(cfg.test_path, cfg, "test") if cfg.test_path else None
-    vocab = ensure_vocab(cfg, train, exp_dir)
+    exp_dir, vocab, train, dev, test = load_inputs(cfg)
     result = run_seed(cfg, vocab, train, dev, test, args.seed, exp_dir)
     print(f"seed {args.seed}: artifacts in {result.run_dir}")
     for split, report in (("dev", result.dev), ("test", result.test)):
@@ -163,21 +158,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = NerModel.load(args.checkpoint)
-    context = None
-    if args.context_window is not None or args.enforce_boundaries is not None:
-        context = ContextConfig(
-            window=(model.context.window if args.context_window is None
-                    else args.context_window),
-            enforce_boundaries=(model.context.enforce_boundaries
-                                if args.enforce_boundaries is None
-                                else args.enforce_boundaries))
-
     text = Path(args.input).read_text(encoding="utf-8")
     corpus = parse_conll(text, token_column=args.token_column,
                          tag_column=args.tag_column)
-    from .model import predict_corpus
-
-    predicted = predict_corpus(model, corpus, context)
+    predicted = predict_corpus(model, corpus, _override_context(model.context, args))
     tag_iter = (tok.predicted_tag for sent in predicted.sentences()
                 for tok in sent.tokens)
     out_lines = []

@@ -1,10 +1,11 @@
 """Per-sentence document-level context assembly.
 
 Each sentence to tag is flanked by up to `window` subtokens of left and
-right context drawn from neighboring sentences. With boundary enforcement
-the context stops at the sentence's own document; without it, context
-continues into adjacent documents in corpus order (the boundary itself
-contributes no subtokens). The assembled transformer input is always
+right context: the subtokens on either side of it in the corpus's
+concatenated subtoken stream. With boundary enforcement the slice stops at
+the sentence's own document; without it, context continues into adjacent
+documents in corpus order (the boundary itself contributes no subtokens).
+The assembled transformer input is always
 
     [BOS] + left_ids + core_ids + right_ids + [EOS]
 
@@ -56,89 +57,47 @@ class ContextualizedSentence:
         return [self.core_start + a for a in self.core.first_subtoken_of_token]
 
 
-class EncodingCache:
-    """Memoizes per-sentence subword encodings, keyed by corpus position.
+class SubtokenStream:
+    """Every sentence of a corpus encoded once and concatenated in corpus order.
 
-    Context assembly re-reads neighboring sentences constantly; caching
-    keeps epoch-level shuffling cheap and guarantees the core encoding is
-    identical for every window setting.
+    Holds the concatenated subtoken ids, each sentence's start offset and
+    encoding (indexed by document, then position in the document), and
+    each document's ``(lo, hi)`` range of the ids.
     """
 
-    def __init__(self, vocab: SubwordVocab):
+    def __init__(self, documents: list[Document], vocab: SubwordVocab):
+        self.documents = documents
         self.vocab = vocab
-        self._store: dict[tuple[int, int], SubwordEncoding] = {}
-
-    def get(self, sentence: Sentence) -> SubwordEncoding:
-        key = (sentence.doc_index, sentence.position_in_doc)
-        enc = self._store.get(key)
-        if enc is None:
-            enc = encode(sentence.texts, self.vocab)
-            self._store[key] = enc
-        return enc
-
-
-def _iter_before(sentence: Sentence, document: Document,
-                 documents: list[Document], enforce: bool):
-    """Sentences preceding `sentence`, nearest first."""
-    for pos in range(sentence.position_in_doc - 1, -1, -1):
-        yield document.sentences[pos]
-    if enforce:
-        return
-    for d_idx in range(sentence.doc_index - 1, -1, -1):
-        for sent in reversed(documents[d_idx].sentences):
-            yield sent
+        self.ids: list[int] = []
+        self.sentences: list[list[tuple[int, SubwordEncoding]]] = []
+        self.doc_ranges: list[tuple[int, int]] = []
+        for document in documents:
+            lo = len(self.ids)
+            encoded = []
+            for sentence in document.sentences:
+                enc = encode(sentence.texts, vocab)
+                encoded.append((len(self.ids), enc))
+                self.ids.extend(enc.ids)
+            self.sentences.append(encoded)
+            self.doc_ranges.append((lo, len(self.ids)))
 
 
-def _iter_after(sentence: Sentence, document: Document,
-                documents: list[Document], enforce: bool):
-    """Sentences following `sentence`, nearest first."""
-    for pos in range(sentence.position_in_doc + 1, len(document.sentences)):
-        yield document.sentences[pos]
-    if enforce:
-        return
-    for d_idx in range(sentence.doc_index + 1, len(documents)):
-        yield from documents[d_idx].sentences
+def build_context(sentence: Sentence, stream: SubtokenStream,
+                  config: ContextConfig) -> ContextualizedSentence:
+    """Attach up to `window` subtokens of left/right context to a sentence.
 
-
-def build_context(sentence: Sentence, document: Document,
-                  all_documents: list[Document], vocab: SubwordVocab,
-                  config: ContextConfig,
-                  cache: EncodingCache | None = None) -> ContextualizedSentence:
-    """Attach up to `window` subtokens of left/right context to a sentence."""
-    if cache is None:
-        cache = EncodingCache(vocab)
-    core = cache.get(sentence)
-
-    left: list[int] = []
-    for prev in _iter_before(sentence, document, all_documents,
-                             config.enforce_boundaries):
-        need = config.window - len(left)
-        if need <= 0:
-            break
-        ids = cache.get(prev).ids
-        left = (ids if len(ids) <= need else ids[-need:]) + left
-
-    right: list[int] = []
-    for nxt in _iter_after(sentence, document, all_documents,
-                           config.enforce_boundaries):
-        need = config.window - len(right)
-        if need <= 0:
-            break
-        ids = cache.get(nxt).ids
-        right = right + (ids if len(ids) <= need else ids[:need])
-
+    The context is the stream slice on each side of the core, bounded by the
+    sentence's document under enforcement and by the whole stream otherwise.
+    """
+    start, core = stream.sentences[sentence.doc_index][sentence.position_in_doc]
+    end = start + len(core.ids)
+    lo, hi = (stream.doc_ranges[sentence.doc_index] if config.enforce_boundaries
+              else (0, len(stream.ids)))
+    left = stream.ids[max(lo, start - config.window):start]
+    right = stream.ids[end:min(hi, end + config.window)]
     return ContextualizedSentence(
-        left_ids=left, core=core, right_ids=right,
-        core_start=len(left) + 1, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
-
-
-def context_coverage(sentence: Sentence, document: Document,
-                     all_documents: list[Document], vocab: SubwordVocab,
-                     config: ContextConfig,
-                     cache: EncodingCache | None = None) -> tuple[int, int]:
-    """Actual (left, right) context subtoken counts for a sentence."""
-    ctx = build_context(sentence, document, all_documents, vocab, config, cache)
-    return len(ctx.left_ids), len(ctx.right_ids)
+        left_ids=left, core=core, right_ids=right, core_start=len(left) + 1,
+        bos_id=stream.vocab.bos_id, eos_id=stream.vocab.eos_id)
 
 
 def fit_to_length(ctx: ContextualizedSentence, max_length: int) -> ContextualizedSentence:

@@ -183,8 +183,9 @@ def run_seed(cfg: ExperimentConfig, vocab: SubwordVocab, train: Corpus,
                       run_dir=str(run_dir))
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Train once per seed, evaluate, and aggregate mean +/- std per split."""
+def load_inputs(cfg: ExperimentConfig) -> tuple[Path, SubwordVocab, Corpus,
+                                                Corpus | None, Corpus | None]:
+    """Experiment directory, vocabulary and train/dev/test corpora of `cfg`."""
     exp_dir = Path(cfg.out_dir) / cfg.name
     exp_dir.mkdir(parents=True, exist_ok=True)
     with _stage("load corpora"):
@@ -193,7 +194,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         test = load_corpus(cfg.test_path, cfg, "test") if cfg.test_path else None
     with _stage("vocabulary"):
         vocab = ensure_vocab(cfg, train, exp_dir)
+    return exp_dir, vocab, train, dev, test
 
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Train once per seed, evaluate, and aggregate mean +/- std per split."""
+    exp_dir, vocab, train, dev, test = load_inputs(cfg)
     seed_results = [run_seed(cfg, vocab, train, dev, test, seed, exp_dir)
                     for seed in cfg.seeds]
     dev_agg = (aggregate_runs([r.dev.micro.f1 for r in seed_results])
@@ -229,8 +235,7 @@ def sweep_context(cfg: ExperimentConfig, windows: list[int]) -> list[ExperimentR
     for window in windows:
         sub = dataclasses.replace(
             cfg, name=f"{cfg.name}-w{window}",
-            context=ContextConfig(window=window,
-                                  enforce_boundaries=cfg.context.enforce_boundaries))
+            context=dataclasses.replace(cfg.context, window=window))
         results.append(run_experiment(sub))
     _write_sweep_files(Path(cfg.out_dir) / cfg.name, results)
     return results
@@ -266,7 +271,5 @@ def variant_grid(base: ExperimentConfig) -> list[ExperimentConfig]:
                 window = base.context.window if use_doc else 0
                 variants.append(dataclasses.replace(
                     base, name=name, head=head, use_word_embeddings=use_we,
-                    context=ContextConfig(
-                        window=window,
-                        enforce_boundaries=base.context.enforce_boundaries)))
+                    context=dataclasses.replace(base.context, window=window)))
     return variants

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .context import (ContextConfig, ContextualizedSentence, EncodingCache,
+from .context import (ContextConfig, ContextualizedSentence, SubtokenStream,
                       build_context, fit_to_length)
 from .corpus import (Corpus, Sentence, TagScheme, convert_scheme, spans_from_tags,
                      tags_from_spans, with_predictions)
@@ -68,6 +68,7 @@ class NerModel:
         self.head = head
         self.strategy = layer_strategy or DEFAULT_STRATEGY[mode]
         self.seed = seed
+        self._stream: SubtokenStream | None = None
         rng = np.random.default_rng(seed)
 
         cfg = transformer
@@ -127,11 +128,16 @@ class NerModel:
     # -- forward paths -----------------------------------------------------
 
     def contextualize(self, sentence: Sentence, corpus: Corpus,
-                      cache: EncodingCache | None = None,
                       context: ContextConfig | None = None) -> ContextualizedSentence:
-        ctx = build_context(sentence, corpus.documents[sentence.doc_index],
-                            corpus.documents, self.vocab,
-                            context if context is not None else self.context, cache)
+        """The sentence with its context, fitted to the encoder's positions.
+
+        The subtoken stream of the last corpus served is kept, so a corpus
+        tagged sentence by sentence has each sentence encoded once.
+        """
+        if self._stream is None or self._stream.documents is not corpus.documents:
+            self._stream = SubtokenStream(corpus.documents, self.vocab)
+        ctx = build_context(sentence, self._stream,
+                            context if context is not None else self.context)
         return fit_to_length(ctx, self.encoder.config.max_positions)
 
     def token_features(self, tokens: list[str], ctx: ContextualizedSentence,
@@ -276,9 +282,8 @@ def predict_corpus(model: NerModel, corpus: Corpus,
     to the corpus scheme. Frozen-feature models reuse the same path; the
     encoder runs without recording a graph either way.
     """
-    cache = EncodingCache(model.vocab)
     predictions = []
     for sentence in corpus.sentences():
-        ctx = model.contextualize(sentence, corpus, cache, context)
+        ctx = model.contextualize(sentence, corpus, context)
         predictions.append(model.decode_tags(sentence.texts, ctx, corpus.scheme))
     return with_predictions(corpus, predictions)

@@ -10,14 +10,16 @@ until it falls below a floor.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor
-from .context import ContextualizedSentence, EncodingCache
+from .context import ContextualizedSentence
 from .corpus import Corpus, with_predictions
 from .evaluation import score
 from .model import NerModel
@@ -159,18 +161,37 @@ class _Item:
 
 
 def _prepare_items(model: NerModel, corpus: Corpus) -> list[_Item]:
-    cache = EncodingCache(model.vocab)
-    items = []
-    for sentence in corpus.sentences():
-        ctx = model.contextualize(sentence, corpus, cache)
-        items.append(_Item(tokens=sentence.texts, ctx=ctx,
-                           gold=model.gold_ids(sentence, corpus.scheme)))
-    return items
+    return [_Item(tokens=sentence.texts, ctx=model.contextualize(sentence, corpus),
+                  gold=model.gold_ids(sentence, corpus.scheme))
+            for sentence in corpus.sentences()]
 
 
-def _batches(order: np.ndarray, size: int):
-    for i in range(0, len(order), size):
-        yield order[i:i + size]
+def _run_epoch(model: NerModel, items: list[_Item], batch_size: int,
+               opt: AdamW | Sgd, rng: np.random.Generator,
+               next_lr: Callable[[], float]) -> tuple[float, float]:
+    """One pass over `items` in a fresh random order, one optimizer step per
+    minibatch at `next_lr()` on the mean sentence loss.
+
+    Returns the mean batch loss and the last learning rate.
+    """
+    order = rng.permutation(len(items))
+    losses = []
+    lr = 0.0
+    for i in range(0, len(order), batch_size):
+        batch = order[i:i + batch_size]
+        lr = next_lr()
+        opt.zero_grad()
+        total = None
+        for idx in batch:
+            it = items[idx]
+            loss = model.sentence_loss(it.tokens, it.ctx, it.gold, rng=rng,
+                                       frozen_features=it.features)
+            total = loss if total is None else total + loss
+        batch_loss = total * (1.0 / len(batch))
+        batch_loss.backward()
+        opt.step(lr)
+        losses.append(float(batch_loss.data))
+    return float(np.mean(losses)), lr
 
 
 def train_finetune(model: NerModel, corpus: Corpus, config: FineTuneConfig,
@@ -193,31 +214,17 @@ def train_finetune(model: NerModel, corpus: Corpus, config: FineTuneConfig,
     rng = np.random.default_rng(seed)
     opt = AdamW(model.trainable_parameters(), beta1=config.beta1,
                 beta2=config.beta2, weight_decay=config.weight_decay)
-    n = len(items)
-    steps_per_epoch = math.ceil(n / config.batch_size)
-    total_steps = config.max_epochs * steps_per_epoch
+    total_steps = config.max_epochs * math.ceil(len(items) / config.batch_size)
+    steps = itertools.count()
+
+    def next_lr() -> float:
+        return one_cycle_lr(next(steps), total_steps, config.peak_lr)
+
     log = TrainLog()
-    step = 0
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        order = rng.permutation(n)
-        epoch_losses = []
-        lr = 0.0
-        for batch in _batches(order, config.batch_size):
-            lr = one_cycle_lr(step, total_steps, config.peak_lr)
-            opt.zero_grad()
-            total = None
-            for idx in batch:
-                it = items[idx]
-                loss = model.sentence_loss(it.tokens, it.ctx, it.gold, rng=rng)
-                total = loss if total is None else total + loss
-            batch_loss = total * (1.0 / len(batch))
-            batch_loss.backward()
-            opt.step(lr)
-            step += 1
-            epoch_losses.append(float(batch_loss.data))
-        log.append(EpochRecord(epoch=epoch, lr=lr,
-                               train_loss=float(np.mean(epoch_losses)),
+        loss, lr = _run_epoch(model, items, config.batch_size, opt, rng, next_lr)
+        log.append(EpochRecord(epoch=epoch, lr=lr, train_loss=loss,
                                dev_f1=None, seconds=time.perf_counter() - t0))
     return model, log
 
@@ -258,27 +265,12 @@ def train_feature_based(model: NerModel, corpus: Corpus,
     best_f1 = -math.inf
     best_params = [p.data.copy() for p in params]
     stale = 0
-    n = len(items)
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        order = rng.permutation(n)
-        epoch_losses = []
-        for batch in _batches(order, config.batch_size):
-            opt.zero_grad()
-            total = None
-            for idx in batch:
-                it = items[idx]
-                loss = model.sentence_loss(it.tokens, it.ctx, it.gold,
-                                           frozen_features=it.features)
-                total = loss if total is None else total + loss
-            batch_loss = total * (1.0 / len(batch))
-            batch_loss.backward()
-            opt.step(lr)
-            epoch_losses.append(float(batch_loss.data))
-
+        loss, _ = _run_epoch(model, items, config.batch_size, opt, rng,
+                             lambda: lr)
         dev_f1 = dev_micro_f1()
-        log.append(EpochRecord(epoch=epoch, lr=lr,
-                               train_loss=float(np.mean(epoch_losses)),
+        log.append(EpochRecord(epoch=epoch, lr=lr, train_loss=loss,
                                dev_f1=dev_f1, seconds=time.perf_counter() - t0))
         if dev_f1 > best_f1:
             best_f1 = dev_f1

@@ -13,7 +13,7 @@ import pytest
 
 from docner import autodiff as ad
 from docner.autodiff import Tensor
-from docner.context import ContextConfig, EncodingCache, build_context
+from docner.context import ContextConfig, SubtokenStream, build_context
 from docner.corpus import (TagScheme, convert_scheme, parse_conll,
                            spans_from_tags, with_predictions)
 from docner.encoder import TransformerConfig
@@ -22,7 +22,7 @@ from docner.model import NerModel, predict_corpus
 from docner.synthetic import (adversarial_boundary_corpus, corpus_from_documents,
                               cue_corpus, cue_documents, overfit_corpus)
 from docner.tagger import BiLstmParams, CrfParams, bilstm_forward, crf_log_z, crf_nll, viterbi
-from docner.tokenizer import train_vocab
+from docner.tokenizer import encode, train_vocab
 from docner.training import (FeatureBasedConfig, FineTuneConfig, annealing_epochs,
                              one_cycle_lr, train_feature_based, train_finetune)
 
@@ -130,8 +130,7 @@ def test_criterion_2_gradient_fidelity():
         corpus, model = _mini_tagging_model(seed=200 + i, head=head)
         sentences = list(corpus.sentences())
         sentence = sentences[i % len(sentences)]
-        cache = EncodingCache(model.vocab)
-        ctx = model.contextualize(sentence, corpus, cache)
+        ctx = model.contextualize(sentence, corpus)
         gold = model.gold_ids(sentence, corpus.scheme)
         err = ad.grad_check(
             lambda: model.sentence_loss(sentence.texts, ctx, gold) * 1e-4,
@@ -161,15 +160,15 @@ def _random_corpus_text(rng, n_docs):
     return "\n".join(parts)
 
 
-def _slice_oracle(sentence, document, documents, cache, config):
+def _slice_oracle(sentence, document, documents, vocab, config):
     scope = (document.sentences if config.enforce_boundaries
              else [s for d in documents for s in d.sentences])
     stream, core_start = [], None
     for s in scope:
         if s is sentence:
             core_start = len(stream)
-        stream.extend(cache.get(s).ids)
-    core_len = len(cache.get(sentence).ids)
+        stream.extend(encode(s.texts, vocab).ids)
+    core_len = len(encode(sentence.texts, vocab).ids)
     left = stream[max(0, core_start - config.window):core_start]
     right = stream[core_start + core_len:core_start + core_len + config.window]
     return left, right
@@ -183,7 +182,7 @@ def test_criterion_3_context_exactness():
     while docs_checked < 500:
         corpus = parse_conll(_random_corpus_text(rng, 20))
         vocab = train_vocab(corpus, 8 + 4 + int(rng.integers(0, 20)))
-        cache = EncodingCache(vocab)
+        stream = SubtokenStream(corpus.documents, vocab)
         docs_checked += len(corpus.documents)
         for doc in corpus.documents:
             for sentence in doc.sentences:
@@ -192,10 +191,9 @@ def test_criterion_3_context_exactness():
                     previous = (-1, -1)
                     for window in windows:
                         config = ContextConfig(window, enforce)
-                        ctx = build_context(sentence, doc, corpus.documents,
-                                            vocab, config, cache)
+                        ctx = build_context(sentence, stream, config)
                         left, right = _slice_oracle(sentence, doc,
-                                                    corpus.documents, cache, config)
+                                                    corpus.documents, vocab, config)
                         assert ctx.left_ids == left
                         assert ctx.right_ids == right
                         assert ctx.assembled_ids() == (

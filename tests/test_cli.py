@@ -204,6 +204,13 @@ class TestStageErrors:
         with pytest.raises(StageError, match="load corpora"):
             run_experiment(cfg)
 
+    def test_train_command_failures_carry_stage_labels(self, tmp_path):
+        from docner.experiments import StageError
+
+        config = write_config(tmp_path, {"train": str(tmp_path / "missing.conll")})
+        with pytest.raises(StageError, match="load corpora"):
+            main(["train", "--config", str(config)])
+
 
 class TestVariantGrid:
     def test_eight_rows_cover_the_table_axes(self, tmp_path):

@@ -1,0 +1,21 @@
+"""The quick demos run end to end, so an API change that breaks one fails here.
+
+Demos 05-07 train models for several seconds each and are not run.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0[1-4]_*.py"))
+
+
+def test_quick_demos_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

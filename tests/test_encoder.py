@@ -3,7 +3,8 @@ import pytest
 
 from docner import autodiff as ad
 from docner.autodiff import Tensor
-from docner.context import ContextConfig, ContextualizedSentence, build_context
+from docner.context import (ContextConfig, ContextualizedSentence, SubtokenStream,
+                            build_context)
 from docner.corpus import parse_conll
 from docner.encoder import (StaticEmbeddingTable, TransformerConfig,
                             TransformerEncoder, concat_word_embeddings,
@@ -228,7 +229,8 @@ class TestContextLocality:
         outs = []
         for corpus in (ca, cb):
             doc = corpus.documents[1]
-            ctx = build_context(doc.sentences[0], doc, corpus.documents, vocab,
+            ctx = build_context(doc.sentences[0],
+                                SubtokenStream(corpus.documents, vocab),
                                 ContextConfig(window=16, enforce_boundaries=True))
             with ad.no_grad():
                 hidden = encode_transformer(ctx, enc)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from docner.context import ContextConfig, EncodingCache
+import docner.context
+from docner.context import ContextConfig
 from docner.corpus import TagScheme, spans_from_tags
 from docner.encoder import TransformerConfig
 from docner.model import NerModel, bioes_labels, predict_corpus
 from docner.synthetic import overfit_corpus
-from docner.tokenizer import train_vocab
+from docner.tokenizer import encode, train_vocab
 
 TINY = TransformerConfig(layers=1, heads=2, model_dim=16, ff_dim=32,
                          max_positions=96)
@@ -46,9 +47,8 @@ class TestForwardPaths:
         model = NerModel(vocab, corpus.label_set, TINY, mode=mode, head=head,
                          bilstm_hidden=8, use_word_embeddings=True, word_dim=4,
                          word_tokens=["went", "to"], seed=0)
-        cache = EncodingCache(vocab)
         sentence = next(corpus.sentences())
-        ctx = model.contextualize(sentence, corpus, cache)
+        ctx = model.contextualize(sentence, corpus)
         loss = model.sentence_loss(sentence.texts, ctx,
                                    model.gold_ids(sentence, corpus.scheme))
         assert np.isfinite(loss.data)
@@ -66,6 +66,22 @@ class TestForwardPaths:
         direct = model.decode_ids(sentence.texts, ctx)
         cached = model.decode_ids(sentence.texts, ctx, frozen_features=feats)
         assert direct == cached
+
+
+class TestSubtokenStream:
+    def test_corpus_sentences_are_encoded_once(self, setup, monkeypatch):
+        corpus, vocab = setup
+        model = NerModel(vocab, corpus.label_set, TINY, seed=0)
+        encoded = []
+
+        def counting(tokens, vocab):
+            encoded.append(tokens)
+            return encode(tokens, vocab)
+
+        monkeypatch.setattr(docner.context, "encode", counting)
+        for sentence in corpus.sentences():
+            model.contextualize(sentence, corpus)
+        assert len(encoded) == corpus.num_sentences
 
 
 class TestCheckpoint:
