@@ -113,13 +113,12 @@ def fit_to_length(ctx: ContextualizedSentence, max_length: int) -> Contextualize
         raise ValueError(
             f"core sentence needs {core_only} positions but the model allows "
             f"{max_length}; shrink the context window or raise max positions")
+    # trim the longer side first, ties from the left: the left side keeps half
+    # the budget, more when the right side is short, and never more than it has
     budget = max_length - core_only
-    left, right = list(ctx.left_ids), list(ctx.right_ids)
-    while len(left) + len(right) > budget:
-        if len(left) >= len(right):
-            left.pop(0)
-        else:
-            right.pop()
+    keep_left = min(len(ctx.left_ids), max(budget - len(ctx.right_ids), budget // 2))
+    left = ctx.left_ids[len(ctx.left_ids) - keep_left:]
+    right = ctx.right_ids[:budget - keep_left]
     logger.warning("truncated context from %d to %d subtokens to fit %d positions",
                    ctx.assembled_length, 2 + len(left) + len(ctx.core.ids) + len(right),
                    max_length)

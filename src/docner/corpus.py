@@ -22,15 +22,8 @@ class TagScheme(enum.Enum):
     BIO = "bio"
     BIOES = "bioes"
 
-    @property
-    def prefixes(self) -> frozenset[str]:
-        return _PREFIXES[self]
-
-
-_PREFIXES = {
-    TagScheme.BIO: frozenset("BIO"),
-    TagScheme.BIOES: frozenset("BIOES"),
-}
+    def __init__(self, value: str):
+        self.prefixes = frozenset(value.upper())
 
 
 class ParseError(ValueError):
@@ -179,7 +172,7 @@ def _validate_tag(tag: str, line_no: int) -> None:
     prefix, etype = split_tag(tag)
     if tag == OUTSIDE:
         return
-    if prefix not in _PREFIXES[TagScheme.BIOES] or not etype:
+    if prefix not in TagScheme.BIOES.prefixes or not etype:
         raise ParseError(f"line {line_no}: tag {tag!r} does not match "
                          f"<prefix>-<type> with prefix in B/I/O/E/S")
 
@@ -241,8 +234,9 @@ def tags_from_spans(spans: list[Span], length: int, scheme: TagScheme) -> list[s
 def convert_scheme(tags: list[str], source: TagScheme, target: TagScheme) -> list[str]:
     """Re-encode a tag sequence in another scheme, preserving the span set.
 
-    Invalid sequences (e.g. I-X after O) are repaired by promotion to a
-    span start; a warning is logged.
+    Invalid sequences (e.g. I-X after O, or a BIOES span left open) are
+    repaired by promotion to a span start or by closing the span; a
+    warning is logged.
     """
     if _needs_repair(tags, source):
         logger.warning("repairing malformed %s tag sequence %s", source.name, tags)
@@ -250,18 +244,34 @@ def convert_scheme(tags: list[str], source: TagScheme, target: TagScheme) -> lis
     return tags_from_spans(spans, len(tags), target)
 
 
+_BOUNDARY = (OUTSIDE, "")
+
+
+def may_follow(prev: tuple[str, str], tag: tuple[str, str], scheme: TagScheme) -> bool:
+    """Whether split tag `tag` may follow split tag `prev` under `scheme`.
+
+    Tags are ``split_tag`` pairs; the start and end of a sequence count as
+    the outside tag. An inside/end tag must continue an open span of its
+    type, and under BIOES an open (B/I) span must continue.
+    """
+    prev_prefix, prev_type = prev
+    prefix, etype = tag
+    if prefix not in scheme.prefixes:
+        return False
+    if prefix in ("I", "E"):
+        return prev_prefix in ("B", "I") and prev_type == etype
+    # a scheme with end tags closes every span explicitly
+    return "E" not in scheme.prefixes or prev_prefix not in ("B", "I")
+
+
 def _needs_repair(tags: list[str], scheme: TagScheme) -> bool:
-    prev_prefix, prev_type = OUTSIDE, ""
+    prev = _BOUNDARY
     for tag in tags:
-        prefix, etype = split_tag(tag)
-        if prefix not in scheme.prefixes:
+        split = split_tag(tag)
+        if not may_follow(prev, split, scheme):
             return True
-        if prefix in ("I", "E"):
-            open_ok = prev_prefix in ("B", "I") and prev_type == etype
-            if not open_ok:
-                return True
-        prev_prefix, prev_type = prefix, etype
-    return False
+        prev = split
+    return not may_follow(prev, _BOUNDARY, scheme)
 
 
 def with_predictions(corpus: Corpus, predictions: list[list[str]]) -> Corpus:

@@ -9,6 +9,7 @@ back to the corpus scheme on the way out.
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 from dataclasses import asdict, replace
@@ -33,6 +34,7 @@ CHECKPOINT_VERSION = 1
 MODES = ("finetune", "feature")
 HEADS = ("linear", "crf")
 DEFAULT_STRATEGY = {"finetune": "last_layer", "feature": "all_layer_mean"}
+FROZEN_IN_FEATURE_MODE = ("encoder.", "word_table.")
 
 
 def bioes_labels(entity_types) -> list[str]:
@@ -61,7 +63,8 @@ class NerModel:
         if head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}")
         self.vocab = vocab
-        self.labels = bioes_labels(entity_types)
+        self.entity_types = sorted(entity_types)
+        self.labels = bioes_labels(self.entity_types)
         self.label_to_id = {t: i for i, t in enumerate(self.labels)}
         self.context = context
         self.mode = mode
@@ -105,25 +108,26 @@ class NerModel:
     def encoder_parameters(self) -> list[Tensor]:
         return self.encoder.parameters()
 
-    def head_parameters(self) -> list[Tensor]:
-        params = [self.head_w, self.head_b]
-        if self.bilstm is not None:
-            params = self.bilstm.parameters() + params
-        if self.crf is not None:
-            params.append(self.crf.transitions)
-        return params
-
     def all_parameters(self) -> list[Tensor]:
-        params = self.encoder_parameters()
-        if self.word_table is not None:
-            params = params + [self.word_table.vectors]
-        return params + self.head_parameters()
+        return list(self._named_parameters().values())
 
     def trainable_parameters(self) -> list[Tensor]:
         """Everything in fine-tuning; encoder and word table frozen otherwise."""
-        if self.mode == "finetune":
-            return self.all_parameters()
-        return self.head_parameters()
+        return [p for name, p in self._named_parameters().items()
+                if self.mode == "finetune" or not name.startswith(FROZEN_IN_FEATURE_MODE)]
+
+    def _named_parameters(self) -> dict[str, Tensor]:
+        """Every parameter by checkpoint name, in optimizer order."""
+        named = {f"encoder.{k}": v for k, v in self.encoder.params.items()}
+        if self.word_table is not None:
+            named["word_table.vectors"] = self.word_table.vectors
+        if self.bilstm is not None:
+            named.update({f"bilstm.{k}": v for k, v in self.bilstm.params.items()})
+        named["head_w"] = self.head_w
+        named["head_b"] = self.head_b
+        if self.crf is not None:
+            named["crf.transitions"] = self.crf.transitions
+        return named
 
     # -- forward paths -----------------------------------------------------
 
@@ -205,30 +209,16 @@ class NerModel:
 
     # -- checkpoint I/O ------------------------------------------------------
 
-    def _named_parameters(self) -> dict[str, Tensor]:
-        named = {f"encoder.{k}": v for k, v in self.encoder.params.items()}
-        if self.word_table is not None:
-            named["word_table.vectors"] = self.word_table.vectors
-        if self.bilstm is not None:
-            named.update({f"bilstm.{k}": v for k, v in self.bilstm.params.items()})
-        named["head_w"] = self.head_w
-        named["head_b"] = self.head_b
-        if self.crf is not None:
-            named["crf.transitions"] = self.crf.transitions
-        return named
-
     def save(self, path) -> None:
         """Write a self-describing .npz: a JSON `meta` entry plus parameter arrays."""
         meta = {
             "format_version": CHECKPOINT_VERSION,
             "vocab": self.vocab.dumps(),
-            "entity_types": sorted({t.split("-", 1)[1] for t in self.labels
-                                    if t != "O"}),
+            "entity_types": self.entity_types,
             "mode": self.mode,
             "head": self.head,
             "layer_strategy": self.strategy,
-            "context": {"window": self.context.window,
-                        "enforce_boundaries": self.context.enforce_boundaries},
+            "context": asdict(self.context),
             "transformer": asdict(self.encoder.config),
             "use_word_embeddings": self.word_table is not None,
             "word_dim": self.word_table.dim if self.word_table else 0,
@@ -246,30 +236,27 @@ class NerModel:
 
     @classmethod
     def load(cls, path) -> "NerModel":
+        """Rebuild a saved model; malformed checkpoints fail with a message
+        that names the offending meta key or parameter."""
         with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            if meta["format_version"] != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version "
-                                 f"{meta['format_version']}")
-            model = cls(
-                vocab=SubwordVocab.loads(meta["vocab"]),
-                entity_types=meta["entity_types"],
-                transformer=TransformerConfig(**meta["transformer"]),
-                context=ContextConfig(**meta["context"]),
-                mode=meta["mode"], head=meta["head"],
-                layer_strategy=meta["layer_strategy"],
-                use_word_embeddings=meta["use_word_embeddings"],
-                word_dim=meta["word_dim"],
-                word_tokens=meta["word_tokens"],
-                bilstm_hidden=meta["bilstm_hidden"] or 256,
-                constrain_transitions=meta["constrain_transitions"],
-                seed=meta["seed"],
-            )
+            settings = json.loads(bytes(data["meta"]).decode())
+            version = settings.pop("format_version", None)
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            unknown = sorted(set(settings) - set(inspect.signature(cls).parameters))
+            if unknown:
+                raise ValueError(f"unknown checkpoint meta keys: {', '.join(unknown)}")
+            settings.update(vocab=SubwordVocab.loads(settings["vocab"]),
+                            transformer=TransformerConfig(**settings["transformer"]),
+                            context=ContextConfig(**settings["context"]))
+            model = cls(**settings)
             for name, tensor in model._named_parameters().items():
                 stored = data[f"param/{name}"]
                 if stored.shape != tensor.data.shape:
                     raise ValueError(f"checkpoint parameter {name} has shape "
                                      f"{stored.shape}, expected {tensor.data.shape}")
+                if not np.isfinite(stored).all():
+                    raise ValueError(f"checkpoint parameter {name} has non-finite values")
                 tensor.data = stored.astype(np.float64)
         return model
 

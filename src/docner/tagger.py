@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import split_tag
+from .corpus import OUTSIDE, TagScheme, may_follow, split_tag
 
 
 def _scores(emissions) -> np.ndarray:
@@ -45,34 +45,16 @@ class CrfParams:
         return self.num_labels + 1
 
     def constrain(self, labels: list[str], penalty: float = -1e4) -> None:
-        """Mask transition scores for label bigrams invalid under BIO/BIOES."""
+        """Mask transition scores for label bigrams invalid under BIOES."""
+        split = [split_tag(label) for label in labels]
+        boundary = split_tag(OUTSIDE)
+        sources = [(self.start, boundary)] + list(enumerate(split))
+        targets = list(enumerate(split)) + [(self.stop, boundary)]
         t = self.transitions.data
-        for i, src in enumerate(labels):
-            for j, dst in enumerate(labels):
-                if not _valid_bigram(src, dst):
+        for i, src in sources:
+            for j, dst in targets:
+                if not may_follow(src, dst, TagScheme.BIOES):
                     t[i, j] = penalty
-        for j, dst in enumerate(labels):
-            if not _valid_bigram(None, dst):
-                t[self.start, j] = penalty
-        for i, src in enumerate(labels):
-            if not _valid_bigram(src, None):
-                t[i, self.stop] = penalty
-
-
-def _valid_bigram(src: str | None, dst: str | None) -> bool:
-    """BIOES adjacency: I/E must continue a same-type B/I; B/I must not dangle.
-
-    `None` stands for the virtual START (as src) or STOP (as dst) state.
-    """
-    src_prefix, src_type = split_tag(src) if src is not None else ("O", "")
-    if dst is None:
-        return src_prefix not in ("B", "I")
-    dst_prefix, dst_type = split_tag(dst)
-    if dst_prefix in ("I", "E"):
-        return src_prefix in ("B", "I") and src_type == dst_type
-    if src_prefix in ("B", "I"):  # open span must continue, not restart
-        return False
-    return True
 
 
 def linear_head(token_reps: Tensor, weights: Tensor, bias: Tensor) -> Tensor:

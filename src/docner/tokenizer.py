@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import autodiff
 from .corpus import Corpus
 
@@ -220,10 +218,5 @@ def first_subword_pool(states, alignment: list[int]):
     Accepts a plain ndarray or an autodiff Tensor (gradients flow through
     the row selection).
     """
-    idx = np.asarray(alignment, dtype=np.intp)
-    if isinstance(states, autodiff.Tensor):
-        return autodiff.take_rows(states, idx)
-    states = np.asarray(states)
-    if idx.size and (idx.min() < 0 or idx.max() >= states.shape[0]):
-        raise IndexError("alignment index out of range")
-    return states[idx]
+    out = autodiff.take_rows(states, alignment)
+    return out if isinstance(states, autodiff.Tensor) else out.data

@@ -249,7 +249,7 @@ def train_feature_based(model: NerModel, corpus: Corpus,
     dev_items = _prepare_items(model, dev_corpus)
     for it in items + dev_items:
         it.features = model.frozen_features(it.tokens, it.ctx)
-    encoder_before = _encoder_digest(model)
+    frozen_before = _frozen_digest(model)
 
     def dev_micro_f1() -> float:
         predictions = [model.decode_tags(it.tokens, it.ctx, dev_corpus.scheme,
@@ -285,13 +285,16 @@ def train_feature_based(model: NerModel, corpus: Corpus,
                     break
     for p, best in zip(params, best_params):
         p.data = best
-    if _encoder_digest(model) != encoder_before:
-        raise AssertionError("encoder parameters changed during frozen training")
+    if _frozen_digest(model) != frozen_before:
+        raise AssertionError("frozen parameters changed during feature-based training")
     return model, log
 
 
-def _encoder_digest(model: NerModel) -> bytes:
-    return b"".join(p.data.tobytes() for p in model.encoder_parameters())
+def _frozen_digest(model: NerModel) -> bytes:
+    """The bytes of every parameter the model does not train."""
+    trainable = {id(p) for p in model.trainable_parameters()}
+    return b"".join(p.data.tobytes() for p in model.all_parameters()
+                    if id(p) not in trainable)
 
 
 def annealing_epochs(config: FeatureBasedConfig) -> int:

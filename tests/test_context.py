@@ -1,12 +1,14 @@
+import itertools
 import logging
 
 import pytest
 
-from docner.context import ContextConfig, SubtokenStream, build_context, fit_to_length
+from docner.context import (ContextConfig, ContextualizedSentence, SubtokenStream,
+                            build_context, fit_to_length)
 from docner.corpus import parse_conll
 from docner.encoder import TransformerConfig
 from docner.model import NerModel
-from docner.tokenizer import encode, train_vocab
+from docner.tokenizer import SubwordEncoding, encode, train_vocab
 
 
 def slice_oracle(sentence, document, documents, vocab, config):
@@ -24,6 +26,18 @@ def slice_oracle(sentence, document, documents, vocab, config):
     core_len = len(encode(sentence.texts, vocab).ids)
     left = stream[max(0, core_start - config.window):core_start]
     right = stream[core_start + core_len:core_start + core_len + config.window]
+    return left, right
+
+
+def trim_one_at_a_time(left, right, budget):
+    """Reference trim: drop one subtoken at a time from the longer side
+    (the far end of it), ties from the left, until `budget` remain."""
+    left, right = list(left), list(right)
+    while len(left) + len(right) > budget:
+        if len(left) >= len(right):
+            left.pop(0)
+        else:
+            right.pop()
     return left, right
 
 
@@ -208,6 +222,21 @@ class TestFitToLength:
         assert trimmed.core.ids == ctx.core.ids
         assert abs(len(trimmed.left_ids) - len(trimmed.right_ids)) <= 1
         assert any("truncated context" in r.message for r in caplog.records)
+
+    def test_matches_one_at_a_time_trimming(self, caplog):
+        core = SubwordEncoding(ids=[7], first_subtoken_of_token=[0],
+                               subtoken_count_per_token=[1])
+        with caplog.at_level(logging.ERROR, logger="docner.context"):
+            for n_left, n_right in itertools.product(range(16), repeat=2):
+                ctx = ContextualizedSentence(
+                    left_ids=list(range(n_left)), core=core,
+                    right_ids=list(range(100, 100 + n_right)),
+                    core_start=n_left + 1, bos_id=0, eos_id=1)
+                for budget in range(n_left + n_right):
+                    fitted = fit_to_length(ctx, 3 + budget)
+                    assert (fitted.left_ids, fitted.right_ids) == trim_one_at_a_time(
+                        ctx.left_ids, ctx.right_ids, budget)
+                    assert fitted.core_start == len(fitted.left_ids) + 1
 
     def test_oversized_core_raises(self, two_doc_corpus, small_vocab):
         doc = two_doc_corpus.documents[0]

@@ -46,6 +46,20 @@ def brute_force_bio_spans(tags):
     return spans
 
 
+def convert_logging_repairs(tags, scheme):
+    """`convert_scheme(tags, scheme, scheme)` and whether it logged a repair."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("docner.corpus")
+    logger.addHandler(handler)
+    try:
+        out = convert_scheme(tags, scheme, scheme)
+    finally:
+        logger.removeHandler(handler)
+    return out, any("repair" in rec.getMessage() for rec in records)
+
+
 class TestParseConll:
     def test_no_docstart_single_document(self):
         text = "a O\nb B-LOC\n\nc O\n"
@@ -143,6 +157,27 @@ class TestConvertScheme:
             out = convert_scheme(["O", "I-LOC"], TagScheme.BIO, TagScheme.BIO)
         assert out == ["O", "B-LOC"]
         assert any("repair" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("tags,expected", [
+        (["B-LOC", "O"], ["S-LOC", "O"]),
+        (["B-LOC", "B-ORG"], ["S-LOC", "S-ORG"]),
+        (["O", "B-LOC"], ["O", "S-LOC"]),
+        (["B-LOC", "I-LOC"], ["B-LOC", "E-LOC"]),
+    ])
+    def test_open_bioes_span_is_closed_and_warns(self, tags, expected, caplog):
+        with caplog.at_level(logging.WARNING, logger="docner.corpus"):
+            out = convert_scheme(tags, TagScheme.BIOES, TagScheme.BIOES)
+        assert out == expected
+        assert any("repair" in rec.message for rec in caplog.records)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(["O", "B-LOC", "I-LOC", "E-LOC", "S-LOC",
+                                     "B-ORG", "I-ORG"]), max_size=6),
+           st.sampled_from(list(TagScheme)))
+    def test_warns_exactly_when_the_sequence_is_not_canonical(self, tags, scheme):
+        # a well-formed sequence is the one its own spans re-encode to
+        out, warned = convert_logging_repairs(tags, scheme)
+        assert warned == (out != tags)
 
     @settings(max_examples=300)
     @given(bio_sequences())

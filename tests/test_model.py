@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,22 @@ class TestForwardPaths:
         assert direct == cached
 
 
+class TestParameters:
+    def test_feature_mode_trains_only_bilstm_and_head(self, setup):
+        corpus, vocab = setup
+        kwargs = dict(use_word_embeddings=True, word_dim=4, word_tokens=["went"],
+                      bilstm_hidden=8, seed=0)
+        feature = NerModel(vocab, corpus.label_set, TINY, mode="feature", head="crf",
+                           **kwargs)
+        finetune = NerModel(vocab, corpus.label_set, TINY, **kwargs)
+        assert feature.trainable_parameters() == (
+            feature.bilstm.parameters()
+            + [feature.head_w, feature.head_b, feature.crf.transitions])
+        assert finetune.trainable_parameters() == finetune.all_parameters() == (
+            finetune.encoder_parameters()
+            + [finetune.word_table.vectors, finetune.head_w, finetune.head_b])
+
+
 class TestSubtokenStream:
     def test_corpus_sentences_are_encoded_once(self, setup, monkeypatch):
         corpus, vocab = setup
@@ -110,22 +128,57 @@ class TestCheckpoint:
             [t.predicted_tag for s in again.sentences() for t in s.tokens]
 
     def test_version_check(self, setup, tmp_path):
-        import json
-
-        import numpy as np
-
-        corpus, vocab = setup
-        model = NerModel(vocab, corpus.label_set, TINY, seed=0)
-        path = tmp_path / "model.npz"
-        model.save(path)
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            arrays = {k: data[k] for k in data.files if k != "meta"}
-        meta["format_version"] = 999
-        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(),
-                                          dtype=np.uint8), **arrays)
+        path = saved_then_edited(setup, tmp_path,
+                                 edit_meta=lambda meta: meta.update(format_version=999))
         with pytest.raises(ValueError, match="version"):
             NerModel.load(path)
+
+    def test_unknown_meta_key_rejected(self, setup, tmp_path):
+        path = saved_then_edited(setup, tmp_path,
+                                 edit_meta=lambda meta: meta.update(dropout_rate=0.5))
+        with pytest.raises(ValueError, match="dropout_rate"):
+            NerModel.load(path)
+
+    def test_non_finite_parameter_rejected(self, setup, tmp_path):
+        def poison(arrays):
+            arrays["param/head_b"] = arrays["param/head_b"].copy()
+            arrays["param/head_b"][1] = np.nan
+        path = saved_then_edited(setup, tmp_path, edit_arrays=poison)
+        with pytest.raises(ValueError, match="head_b.*non-finite"):
+            NerModel.load(path)
+
+    def test_head_width_must_match_label_set(self, setup, tmp_path):
+        def drop_label(arrays):
+            arrays["param/head_w"] = arrays["param/head_w"][:, :-1]
+        path = saved_then_edited(setup, tmp_path, edit_arrays=drop_label)
+        with pytest.raises(ValueError, match="head_w has shape"):
+            NerModel.load(path)
+
+    def test_zero_sizes_of_absent_parts_load(self, setup, tmp_path):
+        # what a fine-tune model without word embeddings has always recorded
+        path = saved_then_edited(
+            setup, tmp_path,
+            edit_meta=lambda meta: meta.update(bilstm_hidden=0, word_dim=0))
+        loaded = NerModel.load(path)
+        assert loaded.bilstm is None and loaded.word_table is None
+        corpus, _ = setup
+        assert predict_corpus(loaded, corpus).num_tokens == corpus.num_tokens
+
+
+def saved_then_edited(setup, tmp_path, edit_meta=None, edit_arrays=None):
+    """Save a fine-tune model, then rewrite its checkpoint through the edits."""
+    corpus, vocab = setup
+    path = tmp_path / "model.npz"
+    NerModel(vocab, corpus.label_set, TINY, seed=0).save(path)
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta"]).decode())
+        arrays = {k: data[k] for k in data.files if k != "meta"}
+    for edit, target in ((edit_meta, meta), (edit_arrays, arrays)):
+        if edit is not None:
+            edit(target)
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **arrays)
+    return path
 
 
 class TestPredictCorpus:

@@ -215,6 +215,22 @@ class TestTrainFeatureBased:
         after = b"".join(p.data.tobytes() for p in model.encoder_parameters())
         assert before == after
 
+    def test_changed_word_table_is_caught(self, train_setup, monkeypatch):
+        corpus, vocab = train_setup
+        dev = overfit_corpus(6, seed=8, split="dev")
+        model = small_model(corpus, vocab, mode="feature", head="crf",
+                            use_word_embeddings=True, word_dim=4, word_tokens=["went"])
+        step = Sgd.step
+
+        def leaky_step(opt, lr):
+            step(opt, lr)
+            model.word_table.vectors.data = model.word_table.vectors.data + 1.0
+
+        monkeypatch.setattr(Sgd, "step", leaky_step)
+        with pytest.raises(AssertionError, match="frozen parameters changed"):
+            train_feature_based(model, corpus, FeatureBasedConfig(max_epochs=1),
+                                seed=1, dev_corpus=dev)
+
     def test_frozen_dev_f1_anneals_on_schedule(self, train_setup):
         corpus, vocab = train_setup
         model = small_model(corpus, vocab, mode="feature", head="crf")
