@@ -88,7 +88,7 @@ class TransformerEncoder:
                 f"{c.max_positions}; shrink the context window")
         p = self.params
         idx = np.asarray(ids, dtype=np.intp)
-        x = ad.take_rows(p["tok_emb"], idx) + ad.take_rows(p["pos_emb"], np.arange(n))
+        x = ad.take_rows(p["tok_emb"], idx) + ad.narrow(p["pos_emb"], 0, 0, n)
         hidden = [x]
         head_dim = c.model_dim // c.heads
         inv_sqrt = 1.0 / math.sqrt(head_dim)

@@ -250,7 +250,13 @@ class NerModel:
                             transformer=TransformerConfig(**settings["transformer"]),
                             context=ContextConfig(**settings["context"]))
             model = cls(**settings)
-            for name, tensor in model._named_parameters().items():
+            named = model._named_parameters()
+            saved = {k[len("param/"):] for k in data.files if k.startswith("param/")}
+            for problem, names in (("has no slot for", saved - set(named)),
+                                   ("lacks parameters", set(named) - saved)):
+                if names:
+                    raise ValueError(f"checkpoint {problem}: " + ", ".join(sorted(names)))
+            for name, tensor in named.items():
                 stored = data[f"param/{name}"]
                 if stored.shape != tensor.data.shape:
                     raise ValueError(f"checkpoint parameter {name} has shape "

@@ -1,14 +1,18 @@
 """Tag prediction heads: linear, linear-chain CRF, and a BiLSTM feature layer.
 
 Emission matrices are [tokens x labels]. The CRF keeps a learned transition
-matrix over labels plus virtual START/STOP states; its negative
-log-likelihood is built from autodiff primitives, so gradients come from
-the same tape as the rest of the network.
+matrix over labels plus virtual START/STOP states. Two sequence ops are
+single graph nodes with a hand-written backward: the CRF log partition
+(forward algorithm; its gradient is the label marginals from the
+forward-backward algorithm) and each LSTM direction (backpropagation
+through time). The gold-path score, the linear head and the joins around
+them are ordinary autodiff ops on the same tape.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -83,26 +87,52 @@ def softmax_nll(emissions: Tensor, gold: list[int]) -> Tensor:
 
 
 def crf_log_z(emissions: Tensor, crf: CrfParams) -> Tensor:
-    """Log partition over all label paths (forward algorithm, log space)."""
+    """Log partition over all label paths (forward algorithm, log space).
+
+    One graph node over (emissions, transitions). Its backward runs the beta
+    recursion and writes the label marginals: unary ones into the emission
+    gradient, pairwise ones into transitions[:L, :L], first-token ones into
+    row START and last-token ones into column STOP.
+    """
     emissions = ad.as_tensor(emissions)
     n, num_labels = emissions.shape
     if n == 0:
         raise ValueError("forward algorithm needs a non-empty sequence")
     if num_labels != crf.num_labels:
         raise ValueError("emission width does not match the CRF label count")
-    trans = crf.transitions
-    core = ad.narrow(ad.narrow(trans, 0, 0, num_labels), 1, 0, num_labels)
-    start_row = ad.narrow(ad.take_rows(trans, [crf.start]), 1, 0, num_labels)
-    stop_col = ad.reshape(
-        ad.take_at(trans, np.arange(num_labels), np.full(num_labels, crf.stop)),
-        (1, num_labels))
+    e = emissions.data
+    trans = crf.transitions.data
+    core = trans[:num_labels, :num_labels]
+    stop = trans[:num_labels, crf.stop]
 
-    alpha = start_row + ad.take_rows(emissions, [0])  # [1, L]
+    alphas = np.empty((n, num_labels))
+    alphas[0] = trans[crf.start, :num_labels] + e[0]
     for t in range(1, n):
-        scores = ad.reshape(alpha, (num_labels, 1)) + core
-        alpha = ad.reshape(ad.log_sum_exp(scores, axis=0), (1, num_labels)) \
-            + ad.take_rows(emissions, [t])
-    return ad.log_sum_exp(alpha + stop_col)
+        scores = alphas[t - 1][:, None] + core  # [from, to]
+        m = scores.max(axis=0)
+        alphas[t] = m + np.log(np.exp(scores - m).sum(axis=0)) + e[t]
+    final = alphas[-1] + stop
+    m = final.max()
+    log_z = m + np.log(np.exp(final - m).sum())
+
+    def back(g):
+        betas = np.empty((n, num_labels))
+        betas[-1] = stop
+        ahead = np.empty((n - 1, num_labels))  # e[t + 1] + betas[t + 1]
+        for t in range(n - 2, -1, -1):
+            ahead[t] = e[t + 1] + betas[t + 1]
+            scores = core + ahead[t]  # [from, to]
+            m = scores.max(axis=1)
+            betas[t] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+        unary = np.exp(alphas + betas - log_z)
+        d_trans = np.zeros_like(trans)
+        d_trans[:num_labels, :num_labels] = np.exp(
+            alphas[:-1, :, None] + core + ahead[:, None, :] - log_z).sum(axis=0)
+        d_trans[crf.start, :num_labels] = unary[0]
+        d_trans[:num_labels, crf.stop] = unary[-1]
+        return g * unary, g * d_trans
+
+    return Tensor(log_z, (emissions, crf.transitions), back)
 
 
 def crf_gold_score(emissions: Tensor, gold, crf: CrfParams) -> Tensor:
@@ -173,6 +203,8 @@ class BiLstmParams:
 
     def __init__(self, input_dim: int, hidden: int = 256,
                  rng: np.random.Generator | None = None):
+        if hidden < 1:
+            raise ValueError(f"bilstm_hidden must be a positive size, got {hidden}")
         self.input_dim = input_dim
         self.hidden = hidden
         k = 1.0 / np.sqrt(hidden)
@@ -195,21 +227,60 @@ class BiLstmParams:
 
 
 def _lstm_direction(features: Tensor, w: Tensor, u: Tensor, b: Tensor,
-                    hidden: int, order: range) -> list[Tensor]:
+                    hidden: int, order: range) -> Tensor:
+    """One LSTM direction from zero states, stepping through `order`.
+
+    A single graph node over (features @ w, u, b) whose backward is
+    backpropagation through time; row t of the output is the hidden state
+    after step t. Under no_grad the node drops its backward and the
+    activations it stored with it.
+    """
     pre_all = features @ w  # input contributions, computed in one matmul
-    h = ad.constant(np.zeros((1, hidden)))
-    c = ad.constant(np.zeros((1, hidden)))
-    outputs: dict[int, Tensor] = {}
+    n = pre_all.shape[0]
+    x, u_data, b_data = pre_all.data, u.data, b.data
+    h = np.zeros((1, hidden))
+    c = np.zeros((1, hidden))
+    gates = np.empty((n, 4 * hidden))  # activations, gate order (i, f, g, o)
+    cells = np.empty((n, hidden))
+    out = np.empty((n, hidden))
+    cell_gate = slice(2 * hidden, 3 * hidden)
     for t in order:
-        pre = ad.take_rows(pre_all, [t]) + h @ u + b
-        i = ad.sigmoid(ad.narrow(pre, 1, 0, hidden))
-        f = ad.sigmoid(ad.narrow(pre, 1, hidden, hidden))
-        g = ad.tanh(ad.narrow(pre, 1, 2 * hidden, hidden))
-        o = ad.sigmoid(ad.narrow(pre, 1, 3 * hidden, hidden))
+        pre = x[t:t + 1] + h @ u_data + b_data
+        act = expit(pre)
+        act[:, cell_gate] = np.tanh(pre[:, cell_gate])
+        i, f, g, o = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
         c = f * c + i * g
-        h = o * ad.tanh(c)
-        outputs[t] = h
-    return [outputs[t] for t in range(len(outputs))]
+        h = o * np.tanh(c)
+        gates[t], cells[t], out[t] = act, c, h
+
+    def back(d_out):
+        h_prev = np.zeros_like(out)
+        c_prev = np.zeros_like(cells)
+        h_prev[order[1:]] = out[order[:-1]]
+        c_prev[order[1:]] = cells[order[:-1]]
+        i, f, g, o = (gates[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        tanh_c = np.tanh(cells)
+        # d pre = d act * act'(pre): the i, f, g columns scale with d c,
+        # the o columns with d h
+        by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                          i * (1.0 - g * g)], axis=1)  # [n, 3, H]
+        by_dh = tanh_c * o * (1.0 - o)
+        dc_by_dh = o * (1.0 - tanh_c * tanh_c)
+        d_pre = np.empty((n, 4 * hidden))
+        u_t = u_data.T
+        dh_rec = np.zeros(hidden)
+        dc = np.zeros(hidden)
+        f_next = np.zeros(hidden)
+        for t in reversed(order):
+            dh = d_out[t] + dh_rec
+            dc = dc * f_next + dh * dc_by_dh[t]
+            d_pre[t, :3 * hidden] = (by_dc[t] * dc).reshape(-1)
+            d_pre[t, 3 * hidden:] = dh * by_dh[t]
+            dh_rec = d_pre[t] @ u_t
+            f_next = f[t]
+        return d_pre, h_prev.T @ d_pre, d_pre.sum(axis=0)
+
+    return Tensor(out, (pre_all, u, b), back)
 
 
 def bilstm_forward(features: Tensor, params: BiLstmParams) -> Tensor:
@@ -222,4 +293,4 @@ def bilstm_forward(features: Tensor, params: BiLstmParams) -> Tensor:
                          params.hidden, range(n))
     bw = _lstm_direction(features, p["bw.w"], p["bw.u"], p["bw.b"],
                          params.hidden, range(n - 1, -1, -1))
-    return ad.concat([ad.concat(fw, axis=0), ad.concat(bw, axis=0)], axis=1)
+    return ad.concat([fw, bw], axis=1)

@@ -69,6 +69,36 @@ class TestForwardPaths:
         cached = model.decode_ids(sentence.texts, ctx, frozen_features=feats)
         assert direct == cached
 
+    def test_feature_loss_graph_does_not_grow_with_length(self, setup):
+        corpus, vocab = setup
+        model = NerModel(vocab, corpus.label_set, TINY, mode="feature",
+                         head="crf", bilstm_hidden=8, seed=0)
+        rng = np.random.default_rng(0)
+        sizes = []
+        for n in (5, 50):
+            features = rng.normal(size=(n, TINY.model_dim))
+            gold = list(rng.integers(0, len(model.labels), n))
+            loss = model.sentence_loss([], None, gold, frozen_features=features)
+            sizes.append(graph_size(loss))
+        assert sizes[0] == sizes[1]
+
+    def test_feature_mode_needs_a_bilstm(self, setup):
+        corpus, vocab = setup
+        with pytest.raises(ValueError, match="bilstm_hidden"):
+            NerModel(vocab, corpus.label_set, TINY, mode="feature", bilstm_hidden=0)
+
+
+def graph_size(root):
+    """Distinct nodes reachable from `root` through `_parents`."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
 
 class TestParameters:
     def test_feature_mode_trains_only_bilstm_and_head(self, setup):
@@ -163,6 +193,26 @@ class TestCheckpoint:
         assert loaded.bilstm is None and loaded.word_table is None
         corpus, _ = setup
         assert predict_corpus(loaded, corpus).num_tokens == corpus.num_tokens
+
+    def test_array_without_a_slot_rejected(self, setup, tmp_path):
+        def add_crf(arrays):
+            arrays["param/crf.transitions"] = np.zeros((11, 11))
+        path = saved_then_edited(setup, tmp_path, edit_arrays=add_crf)
+        with pytest.raises(ValueError, match="no slot for: crf.transitions"):
+            NerModel.load(path)
+
+    def test_missing_array_rejected(self, setup, tmp_path):
+        path = saved_then_edited(setup, tmp_path,
+                                 edit_arrays=lambda arrays: arrays.pop("param/head_b"))
+        with pytest.raises(ValueError, match="lacks parameters: head_b"):
+            NerModel.load(path)
+
+    def test_feature_mode_without_bilstm_size_rejected(self, setup, tmp_path):
+        path = saved_then_edited(
+            setup, tmp_path,
+            edit_meta=lambda meta: meta.update(mode="feature", bilstm_hidden=0))
+        with pytest.raises(ValueError, match="bilstm_hidden"):
+            NerModel.load(path)
 
 
 def saved_then_edited(setup, tmp_path, edit_meta=None, edit_arrays=None):

@@ -6,9 +6,9 @@ import pytest
 
 from docner import autodiff as ad
 from docner.autodiff import Tensor
-from docner.tagger import (BiLstmParams, CrfParams, bilstm_forward, crf_log_z,
-                           crf_nll, greedy_decode, linear_head, path_score,
-                           softmax_nll, viterbi)
+from docner.tagger import (BiLstmParams, CrfParams, _lstm_direction,
+                           bilstm_forward, crf_log_z, crf_nll, greedy_decode,
+                           linear_head, path_score, softmax_nll, viterbi)
 
 
 def enumerate_paths(scores, crf):
@@ -263,3 +263,110 @@ class TestBiLstm:
     def test_empty_sequence_errors(self, rng):
         with pytest.raises(ValueError):
             bilstm_forward(Tensor(np.zeros((0, 2))), BiLstmParams(2, 3, rng))
+
+
+# -- fused sequence ops against per-timestep autodiff references -------------
+
+
+def reference_crf_log_z(emissions, crf):
+    """Forward algorithm as one autodiff node per timestep (the reference)."""
+    emissions = ad.as_tensor(emissions)
+    n, num_labels = emissions.shape
+    trans = crf.transitions
+    core = ad.narrow(ad.narrow(trans, 0, 0, num_labels), 1, 0, num_labels)
+    start_row = ad.narrow(ad.take_rows(trans, [crf.start]), 1, 0, num_labels)
+    stop_col = ad.reshape(
+        ad.take_at(trans, np.arange(num_labels), np.full(num_labels, crf.stop)),
+        (1, num_labels))
+    alpha = start_row + ad.take_rows(emissions, [0])
+    for t in range(1, n):
+        scores = ad.reshape(alpha, (num_labels, 1)) + core
+        alpha = ad.reshape(ad.log_sum_exp(scores, axis=0), (1, num_labels)) \
+            + ad.take_rows(emissions, [t])
+    return ad.log_sum_exp(alpha + stop_col)
+
+
+def reference_lstm_direction(features, w, u, b, hidden, order):
+    """One LSTM direction as per-timestep autodiff ops (the reference)."""
+    pre_all = features @ w
+    h = ad.constant(np.zeros((1, hidden)))
+    c = ad.constant(np.zeros((1, hidden)))
+    outputs = {}
+    for t in order:
+        pre = ad.take_rows(pre_all, [t]) + h @ u + b
+        i = ad.sigmoid(ad.narrow(pre, 1, 0, hidden))
+        f = ad.sigmoid(ad.narrow(pre, 1, hidden, hidden))
+        g = ad.tanh(ad.narrow(pre, 1, 2 * hidden, hidden))
+        o = ad.sigmoid(ad.narrow(pre, 1, 3 * hidden, hidden))
+        c = f * c + i * g
+        h = o * ad.tanh(c)
+        outputs[t] = h
+    return ad.concat([outputs[t] for t in range(len(outputs))], axis=0)
+
+
+def value_and_grads(f, inputs):
+    """f()'s value and the gradients of a fixed weighted sum of its output."""
+    for x in inputs:
+        x.grad = None
+    out = f()
+    weights = np.random.default_rng(99).normal(size=out.shape)
+    ad.tsum(out * ad.constant(weights)).backward()
+    return out.data, [x.grad for x in inputs]
+
+
+def assert_fused_matches_reference(fused, reference, inputs):
+    out, grads = value_and_grads(fused, inputs)
+    ref_out, ref_grads = value_and_grads(reference, inputs)
+    assert np.array_equal(out, ref_out)
+    for grad, ref in zip(grads, ref_grads):
+        assert np.abs(grad - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+LENGTHS = [1, 2, 13, 60]
+
+
+class TestFusedCrfLogZ:
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_matches_per_timestep_reference(self, rng, n):
+        e = Tensor(rng.uniform(-2, 2, (n, 5)))
+        crf = random_crf(rng, 5)
+        assert_fused_matches_reference(lambda: crf_log_z(e, crf),
+                                       lambda: reference_crf_log_z(e, crf),
+                                       [e, crf.transitions])
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_matches_reference_under_constrained_transitions(self, rng, n):
+        labels = ["O", "B-LOC", "I-LOC", "E-LOC", "S-LOC", "B-PER", "I-PER",
+                  "E-PER", "S-PER"]
+        crf = CrfParams(len(labels), rng)
+        crf.constrain(labels)
+        e = Tensor(rng.uniform(-3, 3, (n, len(labels))))
+        assert_fused_matches_reference(lambda: crf_log_z(e, crf),
+                                       lambda: reference_crf_log_z(e, crf),
+                                       [e, crf.transitions])
+
+
+class TestFusedLstmDirection:
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_timestep_reference(self, rng, n, reverse):
+        hidden = 6
+        params = BiLstmParams(4, hidden, rng)
+        w, u, b = (params.params[f"fw.{k}"] for k in "wub")
+        x = Tensor(rng.normal(size=(n, 4)))
+        order = range(n - 1, -1, -1) if reverse else range(n)
+        assert_fused_matches_reference(
+            lambda: _lstm_direction(x, w, u, b, hidden, order),
+            lambda: reference_lstm_direction(x, w, u, b, hidden, order),
+            [x, w, u, b])
+
+    def test_bilstm_joins_both_directions(self, rng):
+        params = BiLstmParams(3, 5, rng)
+        p = params.params
+        x = Tensor(rng.normal(size=(7, 3)))
+        expected = np.concatenate(
+            [reference_lstm_direction(x, p["fw.w"], p["fw.u"], p["fw.b"], 5,
+                                      range(7)).data,
+             reference_lstm_direction(x, p["bw.w"], p["bw.u"], p["bw.b"], 5,
+                                      range(6, -1, -1)).data], axis=1)
+        assert np.array_equal(bilstm_forward(x, params).data, expected)
