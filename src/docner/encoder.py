@@ -2,14 +2,17 @@
 
 The transformer is a standard pre-norm encoder with learned absolute
 position embeddings over the full assembled input (context included),
-trained from scratch. It returns the output of every layer, embedding
-layer included, so downstream code can pool layers the way the two
-training regimes need (last layer, all-layer mean, last-four concat).
+trained from scratch. It encodes a batch of sentences in one pass, their
+assembled inputs right-padded to the longest with padded keys masked out
+of attention, and returns the output of every layer, embedding layer
+included, so downstream code can pool layers the way the two training
+regimes need (last layer, all-layer mean, last-four concat).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,32 +80,46 @@ class TransformerEncoder:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def forward(self, ids: list[int], train: bool = False,
+    def forward(self, ids: np.ndarray, lengths: Sequence[int], train: bool = False,
                 rng: np.random.Generator | None = None) -> list[Tensor]:
-        """Encode subtoken ids; returns [embeddings, layer 1, ..., layer L]."""
+        """Encode a [B, n] batch of right-padded subtoken ids, of which the
+        first ``lengths[b]`` of row b are real.
+
+        Returns [embeddings, layer 1, ..., layer L], each [B*n, D] with
+        sentence b in rows b*n to b*n + n - 1. Padded keys get a -inf
+        attention score, so a sentence's rows do not depend on the padding.
+        """
         c = self.config
-        n = len(ids)
+        batch, n = ids.shape
         if n > c.max_positions:
             raise ValueError(
                 f"assembled input of {n} subtokens exceeds max positions "
                 f"{c.max_positions}; shrink the context window")
         p = self.params
-        idx = np.asarray(ids, dtype=np.intp)
-        x = ad.take_rows(p["tok_emb"], idx) + ad.narrow(p["pos_emb"], 0, 0, n)
+        d, heads = c.model_dim, c.heads
+        head_dim = d // heads
+        tokens = ad.reshape(ad.take_rows(p["tok_emb"], ids.reshape(-1)), (batch, n, d))
+        x = ad.reshape(tokens + ad.narrow(p["pos_emb"], 0, 0, n), (batch * n, d))
+        key_mask = None
+        if min(lengths) < n:
+            padded = np.arange(n) >= np.asarray(lengths)[:, None]
+            key_mask = np.where(padded, -np.inf, 0.0)[:, None, None, :]
         hidden = [x]
-        head_dim = c.model_dim // c.heads
         inv_sqrt = 1.0 / math.sqrt(head_dim)
+
+        def split_heads(t: Tensor) -> Tensor:  # [B*n, D] -> [B, H, n, d_head]
+            return ad.transpose(ad.reshape(t, (batch, n, heads, head_dim)), (0, 2, 1, 3))
+
         for i in range(c.layers):
             a = ad.layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            q = a @ p[f"l{i}.wq"] + p[f"l{i}.wq_b"]
-            k = a @ p[f"l{i}.wk"] + p[f"l{i}.wk_b"]
-            v = a @ p[f"l{i}.wv"] + p[f"l{i}.wv_b"]
-            # [n, D] -> [H, n, d_head]
-            q3 = ad.transpose(ad.reshape(q, (n, c.heads, head_dim)), (1, 0, 2))
-            k3 = ad.transpose(ad.reshape(k, (n, c.heads, head_dim)), (1, 0, 2))
-            v3 = ad.transpose(ad.reshape(v, (n, c.heads, head_dim)), (1, 0, 2))
-            att = ad.softmax((q3 @ ad.transpose(k3, (0, 2, 1))) * inv_sqrt, axis=-1)
-            o = ad.reshape(ad.transpose(att @ v3, (1, 0, 2)), (n, c.model_dim))
+            q = split_heads(a @ p[f"l{i}.wq"] + p[f"l{i}.wq_b"])
+            k = split_heads(a @ p[f"l{i}.wk"] + p[f"l{i}.wk_b"])
+            v = split_heads(a @ p[f"l{i}.wv"] + p[f"l{i}.wv_b"])
+            scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * inv_sqrt
+            if key_mask is not None:
+                scores = scores + key_mask
+            att = ad.softmax(scores, axis=-1)
+            o = ad.reshape(ad.transpose(att @ v, (0, 2, 1, 3)), (batch * n, d))
             o = o @ p[f"l{i}.wo"] + p[f"l{i}.wo_b"]
             o = ad.dropout(o, c.dropout, rng, train)
             x = x + o
@@ -116,11 +133,41 @@ class TransformerEncoder:
         return hidden
 
 
-def encode_transformer(ctx: ContextualizedSentence, model: TransformerEncoder,
+class PaddedBatch:
+    """The assembled inputs of several sentences, right-padded to the longest.
+
+    Row b of the encoder input is sentence b's assembled ids followed by
+    ``pad_id`` up to ``width``; the encoder output holds sentence b in
+    rows b*width onwards.
+    """
+
+    def __init__(self, ctxs: list[ContextualizedSentence], pad_id: int):
+        self.ctxs = ctxs
+        self.pad_id = pad_id
+        self.lengths = [ctx.assembled_length for ctx in ctxs]
+        self.width = max(self.lengths)
+
+    def assembled_ids(self) -> list[int]:
+        """Every row of the padded input, pad slots included, row after row."""
+        ids: list[int] = []
+        for ctx, n in zip(self.ctxs, self.lengths):
+            ids += ctx.assembled_ids()
+            ids += [self.pad_id] * (self.width - n)
+        return ids
+
+    def core_rows(self) -> list[int]:
+        """Output row of each core token's first subtoken, sentence after sentence."""
+        return [b * self.width + row for b, ctx in enumerate(self.ctxs)
+                for row in ctx.shifted_alignment()]
+
+
+def encode_transformer(batch: PaddedBatch, model: TransformerEncoder,
                        train: bool = False,
                        rng: np.random.Generator | None = None) -> list[Tensor]:
-    """Run the encoder over the full assembled input of a sentence."""
-    return model.forward(ctx.assembled_ids(), train=train, rng=rng)
+    """Run the encoder once over the padded assembled inputs of a batch."""
+    ids = np.asarray(batch.assembled_ids(), dtype=np.intp)
+    return model.forward(ids.reshape(len(batch.lengths), batch.width), batch.lengths,
+                         train=train, rng=rng)
 
 
 def pool_layers(hidden: list[Tensor], strategy: str) -> Tensor:
@@ -140,12 +187,14 @@ def pool_layers(hidden: list[Tensor], strategy: str) -> Tensor:
                      f"expected one of {POOL_STRATEGIES}")
 
 
-def extract_core_tokens(pooled: Tensor, ctx: ContextualizedSentence) -> Tensor:
-    """One row per core token: core rows selected by offset, first-subword pooled."""
-    if pooled.shape[0] != ctx.assembled_length:
+def extract_core_tokens(pooled: Tensor, batch: PaddedBatch) -> Tensor:
+    """One row per core token of every sentence of the batch, in one gather:
+    core rows selected by offset, first-subword pooled."""
+    rows = len(batch.lengths) * batch.width
+    if pooled.shape[0] != rows:
         raise ValueError(f"pooled matrix covers {pooled.shape[0]} positions but the "
-                         f"assembled input has {ctx.assembled_length}")
-    return first_subword_pool(pooled, ctx.shifted_alignment())
+                         f"padded assembled input has {rows}")
+    return first_subword_pool(pooled, batch.core_rows())
 
 
 class StaticEmbeddingTable:

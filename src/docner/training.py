@@ -170,7 +170,7 @@ def _run_epoch(model: NerModel, items: list[_Item], batch_size: int,
                opt: AdamW | Sgd, rng: np.random.Generator,
                next_lr: Callable[[], float]) -> tuple[float, float]:
     """One pass over `items` in a fresh random order, one optimizer step per
-    minibatch at `next_lr()` on the mean sentence loss.
+    minibatch at `next_lr()` on its mean sentence loss (`NerModel.batch_loss`).
 
     Returns the mean batch loss and the last learning rate.
     """
@@ -178,16 +178,14 @@ def _run_epoch(model: NerModel, items: list[_Item], batch_size: int,
     losses = []
     lr = 0.0
     for i in range(0, len(order), batch_size):
-        batch = order[i:i + batch_size]
+        batch = [items[j] for j in order[i:i + batch_size]]
         lr = next_lr()
         opt.zero_grad()
-        total = None
-        for idx in batch:
-            it = items[idx]
-            loss = model.sentence_loss(it.tokens, it.ctx, it.gold, rng=rng,
-                                       frozen_features=it.features)
-            total = loss if total is None else total + loss
-        batch_loss = total * (1.0 / len(batch))
+        batch_loss = model.batch_loss(
+            [it.tokens for it in batch], [it.ctx for it in batch],
+            [it.gold for it in batch], rng=rng,
+            frozen_features=(None if batch[0].features is None
+                             else [it.features for it in batch]))
         batch_loss.backward()
         opt.step(lr)
         losses.append(float(batch_loss.data))
@@ -247,8 +245,11 @@ def train_feature_based(model: NerModel, corpus: Corpus,
 
     items = _prepare_items(model, corpus)
     dev_items = _prepare_items(model, dev_corpus)
-    for it in items + dev_items:
-        it.features = model.frozen_features(it.tokens, it.ctx)
+    everything = items + dev_items
+    features = model.frozen_features([it.tokens for it in everything],
+                                     [it.ctx for it in everything])
+    for it, f in zip(everything, features):
+        it.features = f
     frozen_before = _frozen_digest(model)
 
     def dev_micro_f1() -> float:

@@ -54,5 +54,6 @@ def test_every_hook_finds_its_layer():
     finally:
         tracer.uninstall()
     assert tracer.missing == []
+    assert 0 < tracer.counters["encoder.useful_rows"] <= tracer.counters["encoder.rows"]
     recorded = {name for _, name, *_ in tracer.spans}
     assert set(tracer_module.SPANNED) <= recorded

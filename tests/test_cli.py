@@ -1,12 +1,19 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docner.cli import main
+from docner.context import ContextConfig
 from docner.corpus import format_conll, parse_conll
+from docner.encoder import TransformerConfig
+from docner.model import NerModel
 from docner.synthetic import overfit_corpus
-from docner.tokenizer import SubwordVocab
+from docner.tokenizer import SubwordVocab, train_vocab
+from test_corpus import conll_texts
 
 TINY_TRANSFORMER = {"layers": 1, "heads": 2, "model_dim": 16, "ff_dim": 32,
                     "max_positions": 96}
@@ -147,6 +154,38 @@ class TestTrainAndPredict:
                               finetune={"max_epochs": 1, "include_dev": True})
         with pytest.raises(ValueError, match="include_dev"):
             main(["train", "--config", str(config), "--seed", "1"])
+
+
+@pytest.fixture(scope="module")
+def untrained_checkpoint(tmp_path_factory):
+    corpus = overfit_corpus(6, seed=1)
+    path = tmp_path_factory.mktemp("predict") / "model.npz"
+    NerModel(train_vocab(corpus, 100), corpus.label_set,
+             TransformerConfig(**TINY_TRANSFORMER), context=ContextConfig(window=4),
+             seed=0).save(path)
+    return path
+
+
+class TestPredictKeepsInput:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2).flatmap(lambda k: conll_texts(extra_columns=k)))
+    def test_every_column_and_docstart_line_kept(self, untrained_checkpoint, text):
+        source = untrained_checkpoint.with_name("input.conll")
+        output = untrained_checkpoint.with_name("output.conll")
+        source.write_text(text, encoding="utf-8")
+        assert main(["predict", "--checkpoint", str(untrained_checkpoint),
+                     "--input", str(source), "--output", str(output)]) == 0
+        lines = text.splitlines()
+        tagged = output.read_text(encoding="utf-8").splitlines()
+        assert len(tagged) == len(lines)
+        for line, out in zip(lines, tagged):
+            if not line:
+                assert out == ""
+            elif line.startswith("-DOCSTART-"):
+                assert out == f"{line} O"
+            else:
+                assert out.startswith(f"{line} ")
+                assert re.fullmatch(r"O|[BI]-\w+", out[len(line) + 1:])
 
 
 class TestRunExperiment:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docner.corpus import (ParseError, Span, TagScheme, convert_scheme, parse_conll,
-                           spans_from_tags, tags_from_spans)
+from docner.corpus import (ParseError, Span, TagScheme, convert_scheme, format_conll,
+                           parse_conll, spans_from_tags, tags_from_spans)
 
 TYPES = ["LOC", "MISC", "ORG", "PER"]
 
@@ -27,6 +27,29 @@ def bio_sequences(draw, max_len=12):
             tags.append("O")
             open_type = None
     return tags
+
+
+# letters, digits and punctuation: never whitespace, so one token per column
+TOKEN_TEXTS = st.text(st.characters(whitelist_categories=("L", "N", "P")),
+                      min_size=1, max_size=6).filter(lambda t: t != "-DOCSTART-")
+
+
+@st.composite
+def conll_texts(draw, max_docs=3, extra_columns=0):
+    """CoNLL text of 0 to `max_docs` documents of BIO-tagged sentences, each
+    token line with `extra_columns` columns between the token and the tag."""
+    blocks = []
+    for _ in range(draw(st.integers(0, max_docs))):
+        sentences = []
+        for tags in draw(st.lists(bio_sequences().filter(bool), min_size=1, max_size=3)):
+            sentences.append("\n".join(
+                " ".join([draw(TOKEN_TEXTS)] + draw(st.lists(
+                    TOKEN_TEXTS, min_size=extra_columns, max_size=extra_columns))
+                    + [tag])
+                for tag in tags))
+        docstart = " ".join(["-DOCSTART-"] + ["-X-"] * extra_columns + ["O"])
+        blocks.append(f"{docstart}\n\n" + "\n\n".join(sentences))
+    return "\n\n".join(blocks) + "\n"
 
 
 def brute_force_bio_spans(tags):
@@ -113,6 +136,13 @@ class TestParseConll:
 
     def test_label_set(self, two_doc_corpus):
         assert two_doc_corpus.label_set == {"LOC", "ORG"}
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(conll_texts())
+    def test_format_then_parse_is_identity(self, text):
+        corpus = parse_conll(text)
+        assert parse_conll(format_conll(corpus)) == corpus
 
 
 class TestSpansFromTags:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from docner.autodiff import Tensor
 from docner.context import (ContextConfig, ContextualizedSentence, SubtokenStream,
                             build_context)
 from docner.corpus import parse_conll
-from docner.encoder import (StaticEmbeddingTable, TransformerConfig,
-                            TransformerEncoder, concat_word_embeddings,
-                            encode_transformer, extract_core_tokens, pool_layers)
+from docner.encoder import (POOL_STRATEGIES, PaddedBatch, StaticEmbeddingTable,
+                            TransformerConfig, TransformerEncoder,
+                            concat_word_embeddings, encode_transformer,
+                            extract_core_tokens, pool_layers)
 from docner.tokenizer import train_vocab
 
 TINY = dict(layers=2, heads=2, model_dim=8, ff_dim=16, max_positions=64)
+PAD = 3  # the pad id of these tests' 30-symbol vocabularies
 
 
 def make_ctx(core_ids, left=(), right=(), bos=0, eos=1,
@@ -25,6 +29,10 @@ def make_ctx(core_ids, left=(), right=(), bos=0, eos=1,
     return ContextualizedSentence(left_ids=list(left), core=enc,
                                   right_ids=list(right),
                                   core_start=len(left) + 1, bos_id=bos, eos_id=eos)
+
+
+def batch_of(*ctxs):
+    return PaddedBatch(list(ctxs), PAD)
 
 
 @pytest.fixture
@@ -48,8 +56,8 @@ class TestEncodeTransformer:
         a = make_ctx(core, right=[8, 9])
         b = make_ctx(core, right=[9, 8])
         with ad.no_grad():
-            ha = encode_transformer(a, encoder)[-1].data
-            hb = encode_transformer(b, encoder)[-1].data
+            ha = encode_transformer(batch_of(a), encoder)[-1].data
+            hb = encode_transformer(batch_of(b), encoder)[-1].data
         core_rows = slice(1, 4)
         assert not np.allclose(ha[core_rows], hb[core_rows])
 
@@ -59,8 +67,8 @@ class TestEncodeTransformer:
                               max_positions=32, vocab_size=30), rng)
         a, b = make_ctx([5, 6], right=[7]), make_ctx([5, 6], right=[9])
         with ad.no_grad():
-            ha = enc.forward(a.assembled_ids())
-            hb = enc.forward(b.assembled_ids())
+            ha = enc.forward(np.asarray([a.assembled_ids()]), [a.assembled_length])
+            hb = enc.forward(np.asarray([b.assembled_ids()]), [b.assembled_length])
         assert len(ha) == 1
         np.testing.assert_array_equal(ha[0].data[:3], hb[0].data[:3])
 
@@ -69,22 +77,22 @@ class TestEncodeTransformer:
         a = make_ctx([5, 6, 7], left=[10, 11])
         b = make_ctx([5, 6, 7], left=[11, 10])
         with ad.no_grad():
-            ha = encode_transformer(a, encoder)[-1].data
-            hb = encode_transformer(b, encoder)[-1].data
+            ha = encode_transformer(batch_of(a), encoder)[-1].data
+            hb = encode_transformer(batch_of(b), encoder)[-1].data
         np.testing.assert_allclose(ha[3:6], hb[3:6], atol=1e-12)
 
     def test_with_position_embeddings_order_matters(self, encoder):
         a = make_ctx([5, 6, 7], left=[10, 11])
         b = make_ctx([5, 6, 7], left=[11, 10])
         with ad.no_grad():
-            ha = encode_transformer(a, encoder)[-1].data
-            hb = encode_transformer(b, encoder)[-1].data
+            ha = encode_transformer(batch_of(a), encoder)[-1].data
+            hb = encode_transformer(batch_of(b), encoder)[-1].data
         assert not np.allclose(ha[3:6], hb[3:6])
 
     def test_over_length_input_errors(self, encoder):
         ctx = make_ctx(list(range(5)) * 20)
         with pytest.raises(ValueError, match="context window"):
-            encode_transformer(ctx, encoder)
+            encode_transformer(batch_of(ctx), encoder)
 
     def test_deterministic(self, rng):
         cfg = TransformerConfig(vocab_size=30, **TINY)
@@ -92,22 +100,123 @@ class TestEncodeTransformer:
         e2 = TransformerEncoder(cfg, np.random.default_rng(3))
         ctx = make_ctx([4, 5, 6], left=[2], right=[3])
         with ad.no_grad():
-            h1 = encode_transformer(ctx, e1)[-1].data
-            h2 = encode_transformer(ctx, e2)[-1].data
+            h1 = encode_transformer(batch_of(ctx), e1)[-1].data
+            h2 = encode_transformer(batch_of(ctx), e2)[-1].data
         np.testing.assert_array_equal(h1, h2)
 
     def test_returns_layers_plus_embeddings(self, encoder):
         ctx = make_ctx([3, 4])
         with ad.no_grad():
-            hidden = encode_transformer(ctx, encoder)
+            hidden = encode_transformer(batch_of(ctx), encoder)
         assert len(hidden) == encoder.config.layers + 1
         assert all(h.shape == (4, 8) for h in hidden)
+
+
+def reference_forward(encoder, ids):
+    """The per-sentence forward pass the batched encoder replaced, kept as
+    its oracle: one unpadded [n, D] sequence, no attention mask."""
+    c = encoder.config
+    n = len(ids)
+    p = encoder.params
+    x = ad.take_rows(p["tok_emb"], np.asarray(ids, dtype=np.intp)) + \
+        ad.narrow(p["pos_emb"], 0, 0, n)
+    hidden = [x]
+    head_dim = c.model_dim // c.heads
+    inv_sqrt = 1.0 / math.sqrt(head_dim)
+    for i in range(c.layers):
+        a = ad.layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
+        q = a @ p[f"l{i}.wq"] + p[f"l{i}.wq_b"]
+        k = a @ p[f"l{i}.wk"] + p[f"l{i}.wk_b"]
+        v = a @ p[f"l{i}.wv"] + p[f"l{i}.wv_b"]
+        q3 = ad.transpose(ad.reshape(q, (n, c.heads, head_dim)), (1, 0, 2))
+        k3 = ad.transpose(ad.reshape(k, (n, c.heads, head_dim)), (1, 0, 2))
+        v3 = ad.transpose(ad.reshape(v, (n, c.heads, head_dim)), (1, 0, 2))
+        att = ad.softmax((q3 @ ad.transpose(k3, (0, 2, 1))) * inv_sqrt, axis=-1)
+        o = ad.reshape(ad.transpose(att @ v3, (1, 0, 2)), (n, c.model_dim))
+        x = x + (o @ p[f"l{i}.wo"] + p[f"l{i}.wo_b"])
+        f = ad.layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
+        x = x + (ad.gelu(f @ p[f"l{i}.w1"] + p[f"l{i}.w1_b"]) @ p[f"l{i}.w2"]
+                 + p[f"l{i}.w2_b"])
+        if i == c.layers - 1:
+            x = ad.layer_norm(x, p["final_ln_g"], p["final_ln_b"])
+        hidden.append(x)
+    return hidden
+
+
+def mixed_length_batch(rng, max_positions):
+    """A 1-subtoken core without context, a short and a long input with
+    multi-subtoken tokens, and one of exactly `max_positions`."""
+    def ctx(core_tokens, left, right=None):
+        counts = list(rng.integers(1, 3, core_tokens))
+        firsts = list(np.cumsum([0] + counts[:-1]))
+        core = list(rng.integers(4, 30, sum(counts)))
+        if right is None:  # fill the positions up
+            right = max_positions - 2 - left - len(core)
+        return make_ctx(core, left=rng.integers(4, 30, left),
+                        right=rng.integers(4, 30, right), firsts=firsts, counts=counts)
+
+    return [make_ctx([7]), ctx(4, 3, 4), ctx(10, 20, 20), ctx(20, 10)]
+
+
+def assert_close_to(actual, reference):
+    """Equal within 1e-10 of the reference's largest magnitude."""
+    scale = np.abs(reference).max()
+    np.testing.assert_allclose(actual, reference, rtol=0, atol=1e-10 * scale)
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("strategy", POOL_STRATEGIES)
+    def test_rows_match_per_sentence_reference(self, rng, strategy):
+        enc = TransformerEncoder(
+            TransformerConfig(layers=4, heads=2, model_dim=8, ff_dim=16,
+                              max_positions=64, vocab_size=30), rng)
+        ctxs = mixed_length_batch(rng, 64)
+        lengths = [c.assembled_length for c in ctxs]
+        assert lengths[0] == 3 and lengths[-1] == 64 and len(set(lengths)) == 4
+        batch = batch_of(*ctxs)
+        with ad.no_grad():
+            hidden = encode_transformer(batch, enc)
+            core = extract_core_tokens(pool_layers(hidden, strategy), batch).data
+            assert all(h.shape[0] == 4 * 64 for h in hidden)
+            start = 0
+            for b, ctx in enumerate(ctxs):
+                ref = reference_forward(enc, ctx.assembled_ids())
+                for h, r in zip(hidden, ref):
+                    assert_close_to(h.data[b * 64:b * 64 + lengths[b]], r.data)
+                ref_core = pool_layers(ref, strategy).data[ctx.shifted_alignment()]
+                assert_close_to(core[start:start + len(ref_core)], ref_core)
+                start += len(ref_core)
+        assert start == core.shape[0]
+
+    def test_padding_does_not_reach_real_rows(self, encoder, rng):
+        ctxs = mixed_length_batch(rng, 64)
+        batch = batch_of(*ctxs)
+        with ad.no_grad():
+            before = [h.data.copy() for h in encode_transformer(batch, encoder)]
+        for b, ctx in enumerate(ctxs):
+            n = ctx.assembled_length
+            saved = [encoder.params["tok_emb"].data.copy(),
+                     encoder.params["pos_emb"].data.copy()]
+            encoder.params["tok_emb"].data[PAD] += rng.normal(size=8) * 10.0
+            encoder.params["pos_emb"].data[n:] += rng.normal(size=(64 - n, 8)) * 10.0
+            with ad.no_grad():
+                after = encode_transformer(batch, encoder)
+            encoder.params["tok_emb"].data, encoder.params["pos_emb"].data = saved
+            rows = slice(b * 64, b * 64 + n)
+            for h0, h1 in zip(before, after):
+                np.testing.assert_array_equal(h1.data[rows], h0[rows])
+
+    def test_pad_slots_are_listed_and_counted(self):
+        batch = batch_of(make_ctx([5]), make_ctx([5, 6, 7], left=[8]))
+        assert batch.width == 6
+        assert batch.assembled_ids() == [0, 5, 1, PAD, PAD, PAD, 0, 8, 5, 6, 7, 1]
+        assert batch.core_rows() == [1, 8, 9, 10]
 
 
 class TestPoolLayers:
     def test_last_layer_identity(self, encoder):
         with ad.no_grad():
-            hidden = encode_transformer(make_ctx([3, 4, 5]), encoder)
+            hidden = encode_transformer(batch_of(make_ctx([3, 4, 5])), encoder)
         assert pool_layers(hidden, "last_layer") is hidden[-1]
 
     def test_two_term_mean(self, rng):
@@ -115,7 +224,7 @@ class TestPoolLayers:
             TransformerConfig(layers=1, heads=2, model_dim=8, ff_dim=16,
                               max_positions=32, vocab_size=30), rng)
         with ad.no_grad():
-            hidden = encode_transformer(make_ctx([3, 4]), enc)
+            hidden = encode_transformer(batch_of(make_ctx([3, 4])), enc)
             pooled = pool_layers(hidden, "all_layer_mean")
         np.testing.assert_allclose(pooled.data,
                                    (hidden[0].data + hidden[1].data) / 2.0,
@@ -126,7 +235,7 @@ class TestPoolLayers:
             TransformerConfig(layers=4, heads=2, model_dim=8, ff_dim=16,
                               max_positions=32, vocab_size=30), rng)
         with ad.no_grad():
-            hidden = encode_transformer(make_ctx([3, 4]), enc)
+            hidden = encode_transformer(batch_of(make_ctx([3, 4])), enc)
             pooled = pool_layers(hidden, "last_four_concat")
         assert pooled.shape == (4, 32)  # 4 * model_dim
 
@@ -155,20 +264,20 @@ class TestExtractCoreTokens:
     def test_window_zero_single_subtokens(self, rng):
         pooled = Tensor(rng.normal(size=(5, 3)))  # BOS + 3 tokens + EOS
         ctx = make_ctx([10, 11, 12])
-        out = extract_core_tokens(pooled, ctx)
+        out = extract_core_tokens(pooled, batch_of(ctx))
         np.testing.assert_array_equal(out.data, pooled.data[1:4])
 
     def test_row_count_independent_of_context(self, rng):
         ctx = make_ctx([10, 11, 12], left=[1] * 7, right=[2] * 9)
         pooled = Tensor(rng.normal(size=(ctx.assembled_length, 4)))
-        assert extract_core_tokens(pooled, ctx).shape == (3, 4)
+        assert extract_core_tokens(pooled, batch_of(ctx)).shape == (3, 4)
 
     def test_index_bookkeeping_oracle(self, rng):
         # multi-subtoken tokens: alignment [0, 2, 3] within the core
         ctx = make_ctx([4, 5, 6, 7, 8], left=[1, 2], right=[3],
                        firsts=[0, 2, 3], counts=[2, 1, 2])
         pooled = Tensor(rng.normal(size=(ctx.assembled_length, 4)))
-        out = extract_core_tokens(pooled, ctx)
+        out = extract_core_tokens(pooled, batch_of(ctx))
         offset = 1 + 2  # BOS + left context
         expected_rows = [offset + 0, offset + 2, offset + 3]
         np.testing.assert_array_equal(out.data, pooled.data[expected_rows])
@@ -176,7 +285,7 @@ class TestExtractCoreTokens:
     def test_offset_mismatch_errors(self, rng):
         ctx = make_ctx([10, 11])
         with pytest.raises(ValueError, match="assembled"):
-            extract_core_tokens(Tensor(rng.normal(size=(99, 3))), ctx)
+            extract_core_tokens(Tensor(rng.normal(size=(99, 3))), batch_of(ctx))
 
 
 class TestStaticEmbeddings:
@@ -233,7 +342,7 @@ class TestContextLocality:
                                 SubtokenStream(corpus.documents, vocab),
                                 ContextConfig(window=16, enforce_boundaries=True))
             with ad.no_grad():
-                hidden = encode_transformer(ctx, enc)
-                outs.append(extract_core_tokens(
-                    pool_layers(hidden, "last_layer"), ctx).data)
+                hidden = encode_transformer(PaddedBatch([ctx], vocab.pad_id), enc)
+                outs.append(extract_core_tokens(pool_layers(hidden, "last_layer"),
+                                                PaddedBatch([ctx], vocab.pad_id)).data)
         np.testing.assert_array_equal(outs[0], outs[1])

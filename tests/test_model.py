@@ -1,15 +1,22 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import docner.context
+from docner import autodiff as ad
 from docner.context import ContextConfig
 from docner.corpus import TagScheme, spans_from_tags
-from docner.encoder import TransformerConfig
+from docner.encoder import TransformerConfig, concat_word_embeddings, pool_layers
 from docner.model import NerModel, bioes_labels, predict_corpus
-from docner.synthetic import overfit_corpus
-from docner.tokenizer import encode, train_vocab
+from docner.synthetic import corpus_from_documents, overfit_corpus
+from docner.tagger import crf_nll, linear_head, softmax_nll
+from docner.tokenizer import encode, first_subword_pool, train_vocab
+from test_acceptance import _mini_tagging_model
+from test_encoder import assert_close_to, reference_forward
 
 TINY = TransformerConfig(layers=1, heads=2, model_dim=16, ff_dim=32,
                          max_positions=96)
@@ -64,7 +71,7 @@ class TestForwardPaths:
                          head="crf", bilstm_hidden=8, seed=0)
         sentence = next(corpus.sentences())
         ctx = model.contextualize(sentence, corpus)
-        feats = model.frozen_features(sentence.texts, ctx)
+        feats = model.frozen_features([sentence.texts], [ctx])[0]
         direct = model.decode_ids(sentence.texts, ctx)
         cached = model.decode_ids(sentence.texts, ctx, frozen_features=feats)
         assert direct == cached
@@ -98,6 +105,73 @@ def graph_size(root):
                 seen.add(id(parent))
                 stack.append(parent)
     return len(seen)
+
+
+def reference_sentence_loss(model, tokens, ctx, gold):
+    """A fine-tune sentence's loss through the per-sentence reference encoder."""
+    hidden = reference_forward(model.encoder, ctx.assembled_ids())
+    reps = first_subword_pool(pool_layers(hidden, model.strategy),
+                              ctx.shifted_alignment())
+    emissions = linear_head(concat_word_embeddings(reps, tokens, model.word_table),
+                            model.head_w, model.head_b)
+    if model.crf is not None:
+        return crf_nll(emissions, gold, model.crf)
+    return softmax_nll(emissions, gold)
+
+
+def loss_and_gradients(model, loss_fn):
+    for p in model.all_parameters():
+        p.grad = None
+    loss = loss_fn()
+    loss.backward()
+    return float(loss.data), [np.zeros_like(p.data) if p.grad is None else p.grad
+                              for p in model.all_parameters()]
+
+
+class TestBatchedLoss:
+    @pytest.mark.parametrize("head,we", [("linear", False), ("crf", False),
+                                         ("linear", True)])
+    def test_matches_mean_of_reference_sentence_losses(self, setup, head, we):
+        corpus, vocab = setup
+        model = NerModel(vocab, corpus.label_set, TINY, context=ContextConfig(window=6),
+                         head=head, use_word_embeddings=we, word_dim=4,
+                         word_tokens=["went", "to", "Group"], seed=0)
+        sentences = [list(corpus.sentences())[i] for i in (0, 1, 5, 9)]
+        tokens = [s.texts for s in sentences]
+        ctxs = [model.contextualize(s, corpus) for s in sentences]
+        gold = [model.gold_ids(s, corpus.scheme) for s in sentences]
+        assert len({c.assembled_length for c in ctxs}) == 3  # the batch is padded
+
+        def reference():
+            total = reference_sentence_loss(model, tokens[0], ctxs[0], gold[0])
+            for args in zip(tokens[1:], ctxs[1:], gold[1:]):
+                total = total + reference_sentence_loss(model, *args)
+            return total * (1.0 / len(sentences))
+
+        loss, grads = loss_and_gradients(
+            model, lambda: model.batch_loss(tokens, ctxs, gold))
+        ref_loss, ref_grads = loss_and_gradients(model, reference)
+        assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0)
+        largest = max(np.abs(ref).max() for ref in ref_grads)
+        for name, g, ref in zip(model._named_parameters(), grads, ref_grads):
+            if name.endswith(".wk_b"):
+                # a key bias shifts every score of a query alike, which softmax
+                # ignores: its gradient is zero up to rounding on both paths
+                assert max(np.abs(g).max(), np.abs(ref).max()) < 1e-15 * largest
+            else:
+                assert_close_to(g, ref)
+
+    @pytest.mark.parametrize("head", ["linear", "crf"])
+    def test_padded_batch_passes_finite_differences(self, head):
+        corpus, model = _mini_tagging_model(seed=200, head=head)
+        sentences = list(corpus.sentences())
+        ctxs = [model.contextualize(s, corpus) for s in sentences]
+        assert len({c.assembled_length for c in ctxs}) > 1  # the batch is padded
+        tokens = [s.texts for s in sentences]
+        gold = [model.gold_ids(s, corpus.scheme) for s in sentences]
+        err = ad.grad_check(lambda: model.batch_loss(tokens, ctxs, gold) * 1e-4,
+                            model.all_parameters(), epsilon=1e-5)
+        assert err < 1e-5
 
 
 class TestParameters:
@@ -264,3 +338,39 @@ class TestPredictCorpus:
             NerModel(vocab, corpus.label_set, TINY, mode="distill")
         with pytest.raises(ValueError):
             NerModel(vocab, corpus.label_set, TINY, head="biaffine")
+
+
+WORDS = ["Tevin", "went", "to", "Ostia", ".", "Nordex", "Group", "qz", "x"]
+
+
+@st.composite
+def mixed_length_corpora(draw):
+    """Corpora of 0 to 4 documents whose sentences have 1 to 20 tokens."""
+    documents = []
+    for _ in range(draw(st.integers(0, 4))):
+        sentences = draw(st.lists(st.lists(st.sampled_from(WORDS), min_size=1,
+                                           max_size=20), min_size=1, max_size=5))
+        documents.append("\n\n".join("\n".join(f"{w} O" for w in sentence)
+                                       for sentence in sentences))
+    return corpus_from_documents(documents, split="test")
+
+
+class TestPredictCorpusBatching:
+    @pytest.mark.parametrize("mode,head", [("finetune", "linear"), ("feature", "crf")])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(corpus=mixed_length_corpora(), window=st.sampled_from([0, 5, 40]),
+           enforce=st.booleans(), budget=st.sampled_from([1, 40, 256]))
+    def test_equals_tagging_each_sentence(self, setup, mode, head, corpus, window,
+                                          enforce, budget):
+        train, vocab = setup
+        model = NerModel(vocab, train.label_set, TINY, mode=mode, head=head,
+                         bilstm_hidden=8, context=ContextConfig(window, enforce),
+                         seed=0)
+        with mock.patch("docner.model.ENCODE_ROW_BUDGET", budget):
+            predicted = predict_corpus(model, corpus)
+        expected = [model.decode_tags(s.texts, model.contextualize(s, corpus),
+                                      corpus.scheme)
+                    for s in corpus.sentences()]
+        assert [s.predicted_tags for s in predicted.sentences()] == expected
+        assert predicted.num_tokens == corpus.num_tokens

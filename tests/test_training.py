@@ -162,13 +162,13 @@ class TestTrainFinetune:
         dev = overfit_corpus(7, seed=11, split="dev")
         model = small_model(corpus, vocab)
         calls = {"n": 0}
-        original = model.sentence_loss
+        original = model.batch_loss
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
+        def counting(tokens, *args, **kwargs):
+            calls["n"] += len(tokens)
+            return original(tokens, *args, **kwargs)
 
-        monkeypatch.setattr(model, "sentence_loss", counting)
+        monkeypatch.setattr(model, "batch_loss", counting)
         cfg = FineTuneConfig(max_epochs=1, include_dev=True)
         train_finetune(model, corpus, cfg, seed=1, dev_corpus=dev)
         assert calls["n"] == corpus.num_sentences + dev.num_sentences
