@@ -113,8 +113,11 @@ class Tensor:
                 if g is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                    # copied, never aliased: `add` hands one array to both parents
+                    parent.grad = np.empty_like(parent.data)
+                    np.copyto(parent.grad, g)
+                else:
+                    parent.grad += g
 
     # -- operator sugar --------------------------------------------------
 
@@ -261,25 +264,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 # -- nonlinearities ------------------------------------------------------
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    y = _special.expit(a.data)
-    return Tensor(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    y = np.tanh(a.data)
-    return Tensor(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 _SQRT2 = math.sqrt(2.0)

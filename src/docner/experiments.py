@@ -10,6 +10,7 @@ predictions, and per-split score reports.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -111,23 +112,15 @@ def ensure_vocab(cfg: ExperimentConfig, train: Corpus, exp_dir: Path) -> Subword
 
 def build_model(cfg: ExperimentConfig, vocab: SubwordVocab, train: Corpus,
                 seed: int) -> NerModel:
+    """The model of `cfg`: every config field that is a `NerModel` parameter
+    is passed under its own name."""
+    parameters = inspect.signature(NerModel).parameters
+    shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+              if f.name in parameters}
     word_tokens = sorted({t for s in train.sentences() for t in s.texts}) \
         if cfg.use_word_embeddings else None
-    return NerModel(
-        vocab=vocab,
-        entity_types=train.label_set,
-        transformer=cfg.transformer,
-        context=cfg.context,
-        mode=cfg.mode,
-        head=cfg.head,
-        layer_strategy=cfg.layer_strategy,
-        use_word_embeddings=cfg.use_word_embeddings,
-        word_dim=cfg.word_dim,
-        word_tokens=word_tokens,
-        bilstm_hidden=cfg.bilstm_hidden,
-        constrain_transitions=cfg.constrain_transitions,
-        seed=seed,
-    )
+    return NerModel(vocab=vocab, entity_types=train.label_set,
+                    word_tokens=word_tokens, seed=seed, **shared)
 
 
 class StageError(RuntimeError):

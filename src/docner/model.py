@@ -51,7 +51,11 @@ def bioes_labels(entity_types) -> list[str]:
 
 
 class NerModel:
-    """Sequence tagger over document-contextualized sentences."""
+    """Sequence tagger over document-contextualized sentences.
+
+    `settings` holds the arguments the model was built with; `save` writes
+    them and `load` passes them back to the constructor.
+    """
 
     def __init__(self, vocab: SubwordVocab, entity_types,
                  transformer: TransformerConfig,
@@ -67,15 +71,19 @@ class NerModel:
             raise ValueError(f"mode must be one of {MODES}")
         if head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}")
+        # the constructor's arguments, as `save` writes them for `load`; read
+        # before any other local variable is bound
+        self.settings = dict(locals(), entity_types=sorted(entity_types),
+                             layer_strategy=layer_strategy or DEFAULT_STRATEGY[mode],
+                             word_tokens=sorted(set(word_tokens or [])))
+        del self.settings["self"]
         self.vocab = vocab
-        self.entity_types = sorted(entity_types)
-        self.labels = bioes_labels(self.entity_types)
+        self.labels = bioes_labels(self.settings["entity_types"])
         self.label_to_id = {t: i for i, t in enumerate(self.labels)}
         self.context = context
         self.mode = mode
         self.head = head
-        self.strategy = layer_strategy or DEFAULT_STRATEGY[mode]
-        self.seed = seed
+        self.strategy = self.settings["layer_strategy"]
         self._stream: SubtokenStream | None = None
         rng = np.random.default_rng(seed)
 
@@ -106,7 +114,6 @@ class NerModel:
             self.crf = CrfParams(num_labels, rng)
             if constrain_transitions:
                 self.crf.constrain(self.labels)
-        self.constrained = constrain_transitions
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -219,30 +226,17 @@ class NerModel:
             raise FloatingPointError("non-finite training loss")
         return loss
 
-    def sentence_loss(self, tokens: list[str], ctx: ContextualizedSentence,
-                      gold_ids: list[int], rng: np.random.Generator | None = None,
-                      frozen_features: np.ndarray | None = None) -> Tensor:
-        """The loss of one sentence: a batch of one."""
-        return self.batch_loss([tokens], [ctx], [gold_ids], rng=rng,
-                               frozen_features=(None if frozen_features is None
-                                                else [frozen_features]))
-
-    def decode_ids(self, tokens: list[str], ctx: ContextualizedSentence,
-                   frozen_features: np.ndarray | None = None) -> list[int]:
-        with ad.no_grad():
-            features = (ad.constant(frozen_features) if frozen_features is not None
-                        else self.token_features([tokens], [ctx]))
-            emissions = self.emissions_from_features([features])
-            if self.crf is not None:
-                ids, _ = viterbi(emissions, self.crf)
-                return ids
-            return greedy_decode(emissions)
-
     def decode_tags(self, tokens: list[str], ctx: ContextualizedSentence,
                     scheme: TagScheme = TagScheme.BIOES,
                     frozen_features: np.ndarray | None = None) -> list[str]:
         """Predicted tags re-encoded in `scheme` (repairs silently)."""
-        tags = [self.labels[i] for i in self.decode_ids(tokens, ctx, frozen_features)]
+        with ad.no_grad():
+            features = (ad.constant(frozen_features) if frozen_features is not None
+                        else self.token_features([tokens], [ctx]))
+            emissions = self.emissions_from_features([features])
+            ids = (viterbi(emissions, self.crf)[0] if self.crf is not None
+                   else greedy_decode(emissions))
+        tags = [self.labels[i] for i in ids]
         return tags_from_spans(spans_from_tags(tags, TagScheme.BIOES),
                                len(tags), scheme)
 
@@ -253,23 +247,12 @@ class NerModel:
     # -- checkpoint I/O ------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write a self-describing .npz: a JSON `meta` entry plus parameter arrays."""
-        meta = {
-            "format_version": CHECKPOINT_VERSION,
-            "vocab": self.vocab.dumps(),
-            "entity_types": self.entity_types,
-            "mode": self.mode,
-            "head": self.head,
-            "layer_strategy": self.strategy,
-            "context": asdict(self.context),
-            "transformer": asdict(self.encoder.config),
-            "use_word_embeddings": self.word_table is not None,
-            "word_dim": self.word_table.dim if self.word_table else 0,
-            "word_tokens": sorted(self.word_table.index) if self.word_table else [],
-            "bilstm_hidden": self.bilstm.hidden if self.bilstm else 0,
-            "constrain_transitions": self.constrained,
-            "seed": self.seed,
-        }
+        """Write a self-describing .npz: a JSON `meta` entry holding the
+        constructor's arguments, plus the parameter arrays."""
+        meta = dict(self.settings, format_version=CHECKPOINT_VERSION,
+                    vocab=self.vocab.dumps(),
+                    transformer=asdict(self.settings["transformer"]),
+                    context=asdict(self.settings["context"]))
         arrays = {f"param/{k}": v.data for k, v in self._named_parameters().items()}
         buf = io.BytesIO()
         np.savez(buf, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),

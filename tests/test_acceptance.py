@@ -133,7 +133,7 @@ def test_criterion_2_gradient_fidelity():
         ctx = model.contextualize(sentence, corpus)
         gold = model.gold_ids(sentence, corpus.scheme)
         err = ad.grad_check(
-            lambda: model.sentence_loss(sentence.texts, ctx, gold) * 1e-4,
+            lambda: model.batch_loss([sentence.texts], [ctx], [gold]) * 1e-4,
             model.all_parameters(), epsilon=1e-5)
         worst = max(worst, err)
 

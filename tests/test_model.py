@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 from unittest import mock
 
@@ -11,6 +13,7 @@ from docner import autodiff as ad
 from docner.context import ContextConfig
 from docner.corpus import TagScheme, spans_from_tags
 from docner.encoder import TransformerConfig, concat_word_embeddings, pool_layers
+from docner.experiments import ExperimentConfig, build_model
 from docner.model import NerModel, bioes_labels, predict_corpus
 from docner.synthetic import corpus_from_documents, overfit_corpus
 from docner.tagger import crf_nll, linear_head, softmax_nll
@@ -20,6 +23,15 @@ from test_encoder import assert_close_to, reference_forward
 
 TINY = TransformerConfig(layers=1, heads=2, model_dim=16, ff_dim=32,
                          max_positions=96)
+FOUR_LAYERS = TransformerConfig(layers=4, heads=2, model_dim=8, ff_dim=16,
+                                max_positions=96, dropout=0.1)
+# every setting an ExperimentConfig shares with NerModel but the transformer,
+# each away from its default in both
+NON_DEFAULT_SETTINGS = dict(context=ContextConfig(window=5, enforce_boundaries=True),
+                            mode="feature", head="crf",
+                            layer_strategy="last_four_concat",
+                            use_word_embeddings=True, word_dim=3, bilstm_hidden=6,
+                            constrain_transitions=True)
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +70,12 @@ class TestForwardPaths:
                          word_tokens=["went", "to"], seed=0)
         sentence = next(corpus.sentences())
         ctx = model.contextualize(sentence, corpus)
-        loss = model.sentence_loss(sentence.texts, ctx,
-                                   model.gold_ids(sentence, corpus.scheme))
+        loss = model.batch_loss([sentence.texts], [ctx],
+                                [model.gold_ids(sentence, corpus.scheme)])
         assert np.isfinite(loss.data)
-        ids = model.decode_ids(sentence.texts, ctx)
-        assert len(ids) == len(sentence)
-        assert all(0 <= i < len(model.labels) for i in ids)
+        tags = model.decode_tags(sentence.texts, ctx)
+        assert len(tags) == len(sentence)
+        assert set(tags) <= set(model.labels)
 
     def test_feature_mode_accepts_precomputed_features(self, setup):
         corpus, vocab = setup
@@ -72,8 +84,8 @@ class TestForwardPaths:
         sentence = next(corpus.sentences())
         ctx = model.contextualize(sentence, corpus)
         feats = model.frozen_features([sentence.texts], [ctx])[0]
-        direct = model.decode_ids(sentence.texts, ctx)
-        cached = model.decode_ids(sentence.texts, ctx, frozen_features=feats)
+        direct = model.decode_tags(sentence.texts, ctx)
+        cached = model.decode_tags(sentence.texts, ctx, frozen_features=feats)
         assert direct == cached
 
     def test_feature_loss_graph_does_not_grow_with_length(self, setup):
@@ -85,7 +97,7 @@ class TestForwardPaths:
         for n in (5, 50):
             features = rng.normal(size=(n, TINY.model_dim))
             gold = list(rng.integers(0, len(model.labels), n))
-            loss = model.sentence_loss([], None, gold, frozen_features=features)
+            loss = model.batch_loss([[]], [None], [gold], frozen_features=[features])
             sizes.append(graph_size(loss))
         assert sizes[0] == sizes[1]
 
@@ -216,20 +228,18 @@ class TestCheckpoint:
                          mode=mode, head=head, bilstm_hidden=8,
                          use_word_embeddings=we, word_dim=4,
                          word_tokens=["went"], seed=4)
-        path = tmp_path / "model.npz"
-        model.save(path)
-        loaded = NerModel.load(path)
-        assert loaded.labels == model.labels
-        assert loaded.context == model.context
-        assert loaded.mode == model.mode and loaded.head == model.head
-        for (name_a, a), (name_b, b) in zip(model._named_parameters().items(),
-                                            loaded._named_parameters().items()):
-            assert name_a == name_b
-            np.testing.assert_array_equal(a.data, b.data)
-        same = predict_corpus(model, corpus)
-        again = predict_corpus(loaded, corpus)
-        assert [t.predicted_tag for s in same.sentences() for t in s.tokens] == \
-            [t.predicted_tag for s in again.sentences() for t in s.tokens]
+        assert_round_trip(model, corpus, tmp_path)
+
+    def test_every_setting_round_trips(self, setup, tmp_path):
+        corpus, vocab = setup
+        model = NerModel(vocab, corpus.label_set, FOUR_LAYERS, **NON_DEFAULT_SETTINGS,
+                         word_tokens=["went", "to", "went"], seed=7)
+        defaults = {name: p.default
+                    for name, p in inspect.signature(NerModel).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
+        assert all(model.settings[name] != value for name, value in defaults.items())
+        assert model.crf.transitions.data.min() == -1e4  # constrained
+        assert_round_trip(model, corpus, tmp_path)
 
     def test_version_check(self, setup, tmp_path):
         path = saved_then_edited(setup, tmp_path,
@@ -287,6 +297,44 @@ class TestCheckpoint:
             edit_meta=lambda meta: meta.update(mode="feature", bilstm_hidden=0))
         with pytest.raises(ValueError, match="bilstm_hidden"):
             NerModel.load(path)
+
+
+def assert_round_trip(model, corpus, tmp_path):
+    """Save then load `model`: same arguments, parameters and predictions."""
+    path = tmp_path / "model.npz"
+    model.save(path)
+    loaded = NerModel.load(path)
+    assert loaded.settings.keys() == set(inspect.signature(NerModel).parameters)
+    for name, value in model.settings.items():
+        if name == "vocab":
+            assert loaded.vocab.dumps() == value.dumps()
+        else:
+            assert loaded.settings[name] == value, name
+    assert loaded.labels == model.labels
+    for (name_a, a), (name_b, b) in zip(model._named_parameters().items(),
+                                        loaded._named_parameters().items()):
+        assert name_a == name_b
+        np.testing.assert_array_equal(a.data, b.data)
+    same = predict_corpus(model, corpus)
+    again = predict_corpus(loaded, corpus)
+    assert [t.predicted_tag for s in same.sentences() for t in s.tokens] == \
+        [t.predicted_tag for s in again.sentences() for t in s.tokens]
+
+
+class TestBuildModel:
+    def test_forwards_every_shared_config_field(self, setup):
+        corpus, vocab = setup
+        shared = dict(NON_DEFAULT_SETTINGS, transformer=FOUR_LAYERS)
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert shared.keys() == fields & set(inspect.signature(NerModel).parameters)
+        defaults = ExperimentConfig()
+        assert all(getattr(defaults, name) != value for name, value in shared.items())
+        model = build_model(ExperimentConfig(**shared), vocab, corpus, seed=7)
+        assert {name: model.settings[name] for name in shared} == shared
+        assert model.settings["seed"] == 7
+        assert model.settings["entity_types"] == sorted(corpus.label_set)
+        assert model.settings["word_tokens"] == \
+            sorted({t for s in corpus.sentences() for t in s.texts})
 
 
 def saved_then_edited(setup, tmp_path, edit_meta=None, edit_arrays=None):

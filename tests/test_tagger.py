@@ -9,6 +9,7 @@ from docner.autodiff import Tensor
 from docner.tagger import (BiLstmParams, CrfParams, _lstm_direction,
                            bilstm_forward, crf_log_z, crf_nll, greedy_decode,
                            linear_head, path_score, softmax_nll, viterbi)
+from oracle_ops import sigmoid, tanh
 
 
 def enumerate_paths(scores, crf):
@@ -294,12 +295,12 @@ def reference_lstm_direction(features, w, u, b, hidden, order):
     outputs = {}
     for t in order:
         pre = ad.take_rows(pre_all, [t]) + h @ u + b
-        i = ad.sigmoid(ad.narrow(pre, 1, 0, hidden))
-        f = ad.sigmoid(ad.narrow(pre, 1, hidden, hidden))
-        g = ad.tanh(ad.narrow(pre, 1, 2 * hidden, hidden))
-        o = ad.sigmoid(ad.narrow(pre, 1, 3 * hidden, hidden))
+        i = sigmoid(ad.narrow(pre, 1, 0, hidden))
+        f = sigmoid(ad.narrow(pre, 1, hidden, hidden))
+        g = tanh(ad.narrow(pre, 1, 2 * hidden, hidden))
+        o = sigmoid(ad.narrow(pre, 1, 3 * hidden, hidden))
         c = f * c + i * g
-        h = o * ad.tanh(c)
+        h = o * tanh(c)
         outputs[t] = h
     return ad.concat([outputs[t] for t in range(len(outputs))], axis=0)
 
