@@ -5,7 +5,7 @@ Run:  python demos/02_subword_tokenizer.py
 
 import numpy as np
 
-from docner import encode, first_subword_pool, parse_conll, train_vocab
+from docner import encode, parse_conll, train_vocab
 
 # Train a byte-pair vocabulary on a tiny corpus. Merges are greedy by pair
 # frequency with lexicographic tie-breaks, so training is deterministic.
@@ -32,9 +32,10 @@ print(f"  subtokens per token : {enc.subtoken_count_per_token}")
 print(f"  first-subtoken index: {enc.first_subtoken_of_token}")
 
 # First-subword pooling turns per-subtoken vectors into per-token vectors
-# by pure row selection; here with a toy 2-d state per subtoken.
+# by pure row selection (the encoder gathers these rows with
+# autodiff.take_rows); here with a toy 2-d state per subtoken.
 states = np.arange(len(enc.ids) * 2, dtype=float).reshape(len(enc.ids), 2)
-pooled = first_subword_pool(states, enc.first_subtoken_of_token)
+pooled = states[enc.first_subtoken_of_token]
 print(f"\nsubtoken states shape {states.shape} -> token states shape {pooled.shape}")
 for tok, row in zip(sentence, pooled):
     print(f"  {tok!r:12} uses state {row}")

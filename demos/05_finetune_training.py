@@ -3,6 +3,9 @@
 Run:  python demos/05_finetune_training.py    (about half a minute)
 """
 
+import os
+import tempfile
+
 from docner import (ContextConfig, FineTuneConfig, NerModel, TransformerConfig,
                     one_cycle_lr, predict_corpus, score, train_finetune, train_vocab)
 from docner.synthetic import overfit_corpus
@@ -35,7 +38,9 @@ print("\ntrain-on-train scores (memorization check):")
 print(report.format_table())
 
 # Checkpoints are single .npz files carrying config, vocab and parameters.
-model.save("/tmp/docner_demo_model.npz")
-reloaded = NerModel.load("/tmp/docner_demo_model.npz")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "model.npz")
+    model.save(path)
+    reloaded = NerModel.load(path)
 again = score(train, predict_corpus(reloaded, train))
 print(f"\nreloaded checkpoint reproduces F1: {again.micro.f1:.2f}")

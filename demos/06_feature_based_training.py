@@ -21,7 +21,7 @@ model = NerModel(
     mode="feature", head="crf", layer_strategy="all_layer_mean",
     bilstm_hidden=64, seed=7)
 
-encoder_bytes = b"".join(p.data.tobytes() for p in model.encoder_parameters())
+encoder_bytes = b"".join(p.data.tobytes() for p in model.encoder.parameters())
 
 config = FeatureBasedConfig(max_epochs=30)
 print(f"SGD lr {config.learning_rate}, anneal x{config.anneal_factor} after "
@@ -34,7 +34,7 @@ for r in log.records:
     print(f"{r.epoch:>5}  {r.lr:<8.5g}  {r.train_loss:<8.4f}  {r.dev_f1:6.2f}")
 
 frozen = encoder_bytes == b"".join(p.data.tobytes()
-                                   for p in model.encoder_parameters())
+                                   for p in model.encoder.parameters())
 print(f"\nencoder byte-identical after training: {frozen}")
 print(f"best dev F1 (model returned at this point): "
       f"{score(dev, predict_corpus(model, dev)).micro.f1:.2f}")

@@ -17,8 +17,7 @@ from .experiments import ExperimentConfig, run_experiment, sweep_context
 from .model import NerModel, predict_corpus
 from .tagger import (BiLstmParams, CrfParams, bilstm_forward, crf_nll, greedy_decode,
                      linear_head, viterbi)
-from .tokenizer import (SubwordEncoding, SubwordVocab, encode, first_subword_pool,
-                        train_vocab)
+from .tokenizer import SubwordEncoding, SubwordVocab, encode, train_vocab
 from .training import (FeatureBasedConfig, FineTuneConfig, TrainLog, one_cycle_lr,
                        train_feature_based, train_finetune)
 
@@ -35,7 +34,7 @@ __all__ = [
     "NerModel", "predict_corpus",
     "BiLstmParams", "CrfParams", "bilstm_forward", "crf_nll", "greedy_decode",
     "linear_head", "viterbi",
-    "SubwordEncoding", "SubwordVocab", "encode", "first_subword_pool", "train_vocab",
+    "SubwordEncoding", "SubwordVocab", "encode", "train_vocab",
     "FeatureBasedConfig", "FineTuneConfig", "TrainLog", "one_cycle_lr",
     "train_feature_based", "train_finetune",
     "__version__",

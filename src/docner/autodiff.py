@@ -6,8 +6,10 @@ keeps references to its parents together with a gradient closure. Calling
 topological order, accumulating gradients into ``.grad``.
 
 The engine is deliberately small: dense float64 arrays only, no views into
-shared storage, no in-place ops on tracked tensors. Inference code should
-run inside ``no_grad()`` so no graph is recorded.
+shared storage, no in-place ops on tracked tensors. A leaf, trainable or
+frozen, is ``Tensor(array)``; ops also accept plain arrays and wrap them
+as leaves. Inference code should run inside ``no_grad()`` so no graph is
+recorded.
 """
 
 from __future__ import annotations
@@ -76,9 +78,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
@@ -146,16 +145,6 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def constant(x) -> Tensor:
-    """A leaf tensor that never records a graph (frozen input)."""
-    t = Tensor.__new__(Tensor)
-    t.data = np.asarray(x, dtype=np.float64)
-    t.grad = None
-    t._parents = ()
-    t._backward = None
-    return t
 
 
 # -- elementwise and shape ops ------------------------------------------

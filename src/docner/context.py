@@ -40,9 +40,13 @@ class ContextualizedSentence:
     left_ids: list[int]
     core: SubwordEncoding
     right_ids: list[int]
-    core_start: int  # offset of the first core subtoken in the assembled input
     bos_id: int
     eos_id: int
+
+    @property
+    def core_start(self) -> int:
+        """Offset of the first core subtoken in the assembled input."""
+        return len(self.left_ids) + 1
 
     def assembled_ids(self) -> list[int]:
         return ([self.bos_id] + self.left_ids + self.core.ids
@@ -96,7 +100,7 @@ def build_context(sentence: Sentence, stream: SubtokenStream,
     left = stream.ids[max(lo, start - config.window):start]
     right = stream.ids[end:min(hi, end + config.window)]
     return ContextualizedSentence(
-        left_ids=left, core=core, right_ids=right, core_start=len(left) + 1,
+        left_ids=left, core=core, right_ids=right,
         bos_id=stream.vocab.bos_id, eos_id=stream.vocab.eos_id)
 
 
@@ -122,6 +126,5 @@ def fit_to_length(ctx: ContextualizedSentence, max_length: int) -> Contextualize
     logger.warning("truncated context from %d to %d subtokens to fit %d positions",
                    ctx.assembled_length, 2 + len(left) + len(ctx.core.ids) + len(right),
                    max_length)
-    return ContextualizedSentence(
-        left_ids=left, core=ctx.core, right_ids=right,
-        core_start=len(left) + 1, bos_id=ctx.bos_id, eos_id=ctx.eos_id)
+    return ContextualizedSentence(left_ids=left, core=ctx.core, right_ids=right,
+                                  bos_id=ctx.bos_id, eos_id=ctx.eos_id)

@@ -20,7 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .context import ContextualizedSentence
-from .tokenizer import first_subword_pool
 
 POOL_STRATEGIES = ("last_layer", "all_layer_mean", "last_four_concat")
 
@@ -170,8 +169,18 @@ def encode_transformer(batch: PaddedBatch, model: TransformerEncoder,
                          train=train, rng=rng)
 
 
+def check_pool_strategy(strategy: str, layers: int) -> None:
+    """Raise unless `strategy` can pool an encoder of `layers` transformer layers."""
+    if strategy not in POOL_STRATEGIES:
+        raise ValueError(f"unknown pooling strategy {strategy!r}; "
+                         f"expected one of {POOL_STRATEGIES}")
+    if strategy == "last_four_concat" and layers < 4:
+        raise ValueError("last_four_concat needs at least 4 transformer layers")
+
+
 def pool_layers(hidden: list[Tensor], strategy: str) -> Tensor:
     """Combine per-layer outputs into one matrix of subtoken representations."""
+    check_pool_strategy(strategy, len(hidden) - 1)
     if strategy == "last_layer":
         return hidden[-1]
     if strategy == "all_layer_mean":
@@ -179,22 +188,17 @@ def pool_layers(hidden: list[Tensor], strategy: str) -> Tensor:
         for h in hidden[1:]:
             total = total + h
         return total * (1.0 / len(hidden))
-    if strategy == "last_four_concat":
-        if len(hidden) - 1 < 4:
-            raise ValueError("last_four_concat needs at least 4 transformer layers")
-        return ad.concat(hidden[-4:], axis=1)
-    raise ValueError(f"unknown pooling strategy {strategy!r}; "
-                     f"expected one of {POOL_STRATEGIES}")
+    return ad.concat(hidden[-4:], axis=1)
 
 
 def extract_core_tokens(pooled: Tensor, batch: PaddedBatch) -> Tensor:
     """One row per core token of every sentence of the batch, in one gather:
-    core rows selected by offset, first-subword pooled."""
+    the row of each core token's first subtoken (first-subword pooling)."""
     rows = len(batch.lengths) * batch.width
     if pooled.shape[0] != rows:
         raise ValueError(f"pooled matrix covers {pooled.shape[0]} positions but the "
                          f"padded assembled input has {rows}")
-    return first_subword_pool(pooled, batch.core_rows())
+    return ad.take_rows(pooled, batch.core_rows())
 
 
 class StaticEmbeddingTable:

@@ -12,7 +12,7 @@ import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .corpus import Corpus, TagScheme, convert_scheme, spans_from_tags
+from .corpus import Corpus, TagScheme, spans_from_tags, tags_from_spans
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ def score(gold: Corpus, predicted: Corpus) -> EvalReport:
 
     The predicted corpus supplies each token's `predicted_tag` when set,
     otherwise its `gold_tag` (covers files whose last column holds the
-    prediction). Token accuracy is computed on BIO-converted tags so it is
-    stable across schemes.
+    prediction). Token accuracy compares BIO tags rebuilt from the span
+    sets, so it is stable across schemes.
     """
     gold_sents = list(gold.sentences())
     pred_sents = list(predicted.sentences())
@@ -111,8 +111,8 @@ def score(gold: Corpus, predicted: Corpus) -> EvalReport:
             counts.setdefault(span.entity_type, [0, 0, 0])[1] += 1
         for span in gold_spans & pred_spans:
             counts[span.entity_type][2] += 1
-        gold_bio = convert_scheme(gs.gold_tags, gold.scheme, TagScheme.BIO)
-        pred_bio = convert_scheme(ps.predicted_tags, predicted.scheme, TagScheme.BIO)
+        gold_bio = tags_from_spans(gold_spans, len(gs), TagScheme.BIO)
+        pred_bio = tags_from_spans(pred_spans, len(ps), TagScheme.BIO)
         correct_tokens += sum(g == p for g, p in zip(gold_bio, pred_bio))
         total_tokens += len(gold_bio)
 

@@ -23,8 +23,8 @@ from .context import (ContextConfig, ContextualizedSentence, SubtokenStream,
 from .corpus import (Corpus, Sentence, TagScheme, convert_scheme, spans_from_tags,
                      tags_from_spans, with_predictions)
 from .encoder import (PaddedBatch, StaticEmbeddingTable, TransformerConfig,
-                      TransformerEncoder, concat_word_embeddings, encode_transformer,
-                      extract_core_tokens, pool_layers)
+                      TransformerEncoder, check_pool_strategy, concat_word_embeddings,
+                      encode_transformer, extract_core_tokens, pool_layers)
 from .tagger import (BiLstmParams, CrfParams, bilstm_forward, crf_nll,
                      greedy_decode, linear_head, softmax_nll, viterbi)
 from .tokenizer import SubwordVocab
@@ -84,6 +84,10 @@ class NerModel:
         self.mode = mode
         self.head = head
         self.strategy = self.settings["layer_strategy"]
+        try:
+            check_pool_strategy(self.strategy, transformer.layers)
+        except ValueError as err:
+            raise ValueError(f"layer_strategy: {err}") from None
         self._stream: SubtokenStream | None = None
         rng = np.random.default_rng(seed)
 
@@ -116,9 +120,6 @@ class NerModel:
                 self.crf.constrain(self.labels)
 
     # -- parameter plumbing ------------------------------------------------
-
-    def encoder_parameters(self) -> list[Tensor]:
-        return self.encoder.parameters()
 
     def all_parameters(self) -> list[Tensor]:
         return list(self._named_parameters().values())
@@ -209,7 +210,7 @@ class NerModel:
         if self.mode == "feature":
             if frozen_features is None:
                 frozen_features = self.frozen_features(tokens, ctxs)
-            features = [ad.constant(f) for f in frozen_features]
+            features = [Tensor(f) for f in frozen_features]
         else:
             features = [self.token_features(tokens, ctxs, train=True, rng=rng)]
         emissions = self.emissions_from_features(features)
@@ -231,11 +232,11 @@ class NerModel:
                     frozen_features: np.ndarray | None = None) -> list[str]:
         """Predicted tags re-encoded in `scheme` (repairs silently)."""
         with ad.no_grad():
-            features = (ad.constant(frozen_features) if frozen_features is not None
+            features = (Tensor(frozen_features) if frozen_features is not None
                         else self.token_features([tokens], [ctx]))
-            emissions = self.emissions_from_features([features])
-            ids = (viterbi(emissions, self.crf)[0] if self.crf is not None
-                   else greedy_decode(emissions))
+            scores = self.emissions_from_features([features]).data
+            ids = (viterbi(scores, self.crf)[0] if self.crf is not None
+                   else greedy_decode(scores))
         tags = [self.labels[i] for i in ids]
         return tags_from_spans(spans_from_tags(tags, TagScheme.BIOES),
                                len(tags), scheme)

@@ -7,6 +7,9 @@ single graph nodes with a hand-written backward: the CRF log partition
 forward-backward algorithm) and each LSTM direction (backpropagation
 through time). The gold-path score, the linear head and the joins around
 them are ordinary autodiff ops on the same tape.
+
+Losses take emission Tensors and record a graph; the decoders
+(`greedy_decode`, `viterbi`, `path_score`) take plain score arrays.
 """
 
 from __future__ import annotations
@@ -17,10 +20,6 @@ from scipy.special import expit
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import OUTSIDE, TagScheme, may_follow, split_tag
-
-
-def _scores(emissions) -> np.ndarray:
-    return emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions)
 
 
 class CrfParams:
@@ -69,9 +68,8 @@ def linear_head(token_reps: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return token_reps @ weights + bias
 
 
-def greedy_decode(emissions) -> list[int]:
+def greedy_decode(scores: np.ndarray) -> list[int]:
     """Per-token argmax labels; ties resolve to the lowest label index."""
-    scores = _scores(emissions)
     if scores.shape[0] == 0:
         raise ValueError("cannot decode an empty emission matrix")
     return [int(i) for i in scores.argmax(axis=1)]
@@ -94,7 +92,6 @@ def crf_log_z(emissions: Tensor, crf: CrfParams) -> Tensor:
     gradient, pairwise ones into transitions[:L, :L], first-token ones into
     row START and last-token ones into column STOP.
     """
-    emissions = ad.as_tensor(emissions)
     n, num_labels = emissions.shape
     if n == 0:
         raise ValueError("forward algorithm needs a non-empty sequence")
@@ -137,7 +134,6 @@ def crf_log_z(emissions: Tensor, crf: CrfParams) -> Tensor:
 
 def crf_gold_score(emissions: Tensor, gold, crf: CrfParams) -> Tensor:
     """Unnormalized score of one path: emissions plus START->...->STOP transitions."""
-    emissions = ad.as_tensor(emissions)
     n, num_labels = emissions.shape
     gold = _check_gold(gold, n, num_labels)
     rows = np.concatenate([[crf.start], gold])
@@ -151,18 +147,17 @@ def crf_nll(emissions: Tensor, gold: list[int], crf: CrfParams) -> Tensor:
     return crf_log_z(emissions, crf) - crf_gold_score(emissions, gold, crf)
 
 
-def path_score(emissions, path: list[int], crf: CrfParams) -> float:
+def path_score(scores: np.ndarray, path: list[int], crf: CrfParams) -> float:
     """Plain-float path score for oracles and decoding checks."""
     with ad.no_grad():
-        return float(crf_gold_score(ad.as_tensor(_scores(emissions)), path, crf).data)
+        return float(crf_gold_score(Tensor(scores), path, crf).data)
 
 
-def viterbi(emissions, crf: CrfParams) -> tuple[list[int], float]:
+def viterbi(scores: np.ndarray, crf: CrfParams) -> tuple[list[int], float]:
     """Highest-scoring label path and its score.
 
     Ties break toward the lowest label index at every backtracking step.
     """
-    scores = _scores(emissions)
     n, num_labels = scores.shape
     if n == 0:
         raise ValueError("cannot decode an empty emission matrix")
@@ -205,7 +200,6 @@ class BiLstmParams:
                  rng: np.random.Generator | None = None):
         if hidden < 1:
             raise ValueError(f"bilstm_hidden must be a positive size, got {hidden}")
-        self.input_dim = input_dim
         self.hidden = hidden
         k = 1.0 / np.sqrt(hidden)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import autodiff
 from .corpus import Corpus
 
 BOS, EOS, UNK, PAD = "<s>", "</s>", "<unk>", "<pad>"
@@ -211,12 +210,3 @@ def encode(tokens: list[str], vocab: SubwordVocab) -> SubwordEncoding:
     return SubwordEncoding(ids=ids, first_subtoken_of_token=firsts,
                            subtoken_count_per_token=counts)
 
-
-def first_subword_pool(states, alignment: list[int]):
-    """Select the first-subtoken row for every token: out[t] = states[alignment[t]].
-
-    Accepts a plain ndarray or an autodiff Tensor (gradients flow through
-    the row selection).
-    """
-    out = autodiff.take_rows(states, alignment)
-    return out if isinstance(states, autodiff.Tensor) else out.data

@@ -369,13 +369,13 @@ def test_criterion_8_training_recipes():
     model = NerModel(vocab, corpus.label_set, small,
                      context=ContextConfig(window=0), mode="feature",
                      head="crf", bilstm_hidden=8, seed=0)
-    before = b"".join(p.data.tobytes() for p in model.encoder_parameters())
+    before = b"".join(p.data.tobytes() for p in model.encoder.parameters())
     dev_text = "\n\n".join("\n".join(f"w{i}{j} O" for j in range(3))
                            for i in range(4))
     frozen_dev = parse_conll(dev_text + "\n", split="dev")
     model, log = train_feature_based(model, corpus, feature_cfg, seed=1,
                                      dev_corpus=frozen_dev)
-    after = b"".join(p.data.tobytes() for p in model.encoder_parameters())
+    after = b"".join(p.data.tobytes() for p in model.encoder.parameters())
     assert before == after, "encoder must stay byte-identical"
     assert all(r.dev_f1 == 0.0 for r in log.records)
     predicted_stop = annealing_epochs(feature_cfg)

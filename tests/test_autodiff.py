@@ -112,6 +112,43 @@ class TestOperationGradients:
         assert x.grad[0] == pytest.approx(24.0, abs=1e-12)
 
 
+class TestTakeRows:
+    def test_selects_rows(self, rng):
+        states = rng.normal(size=(7, 3))
+        out = ad.take_rows(Tensor(states), [0, 1, 4])
+        np.testing.assert_array_equal(out.data, states[[0, 1, 4]])
+
+    def test_identity_when_every_row_taken_in_order(self, rng):
+        states = rng.normal(size=(4, 2))
+        np.testing.assert_array_equal(ad.take_rows(Tensor(states), [0, 1, 2, 3]).data,
+                                      states)
+
+    def test_direct_indexing_oracle(self, rng):
+        states = rng.normal(size=(7, 3))
+        rows = [5, 0, 2, 5]  # out of order, one row twice
+        out = ad.take_rows(Tensor(states), rows)
+        for i, r in enumerate(rows):
+            np.testing.assert_array_equal(out.data[i], states[r])
+
+    def test_out_of_range_errors(self, rng):
+        with pytest.raises(IndexError):
+            ad.take_rows(Tensor(rng.normal(size=(3, 2))), [0, 3])
+
+    def test_commutes_with_scaling(self, rng):
+        states = rng.normal(size=(6, 4))
+        rows = [1, 3]
+        np.testing.assert_array_equal(ad.take_rows(Tensor(states * 2.5), rows).data,
+                                      ad.take_rows(Tensor(states), rows).data * 2.5)
+
+    def test_gradient_scatter_adds_into_taken_rows(self, rng):
+        states = Tensor(rng.normal(size=(5, 2)))
+        ad.tsum(ad.take_rows(states, [0, 4, 0])).backward()
+        expected = np.zeros((5, 2))
+        expected[0] = 2.0  # taken twice
+        expected[4] = 1.0
+        np.testing.assert_array_equal(states.grad, expected)
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):
         m = rng.normal(size=(6, 9)) * 10

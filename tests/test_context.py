@@ -231,7 +231,7 @@ class TestFitToLength:
                 ctx = ContextualizedSentence(
                     left_ids=list(range(n_left)), core=core,
                     right_ids=list(range(100, 100 + n_right)),
-                    core_start=n_left + 1, bos_id=0, eos_id=1)
+                    bos_id=0, eos_id=1)
                 for budget in range(n_left + n_right):
                     fitted = fit_to_length(ctx, 3 + budget)
                     assert (fitted.left_ids, fitted.right_ids) == trim_one_at_a_time(

@@ -1,6 +1,7 @@
 """The quick demos run end to end, so an API change that breaks one fails here.
 
-Demos 05-07 train models for several seconds each and are not run.
+Demos 05-07 train models for several seconds each; they run in their own
+CI step, not here.
 """
 
 import runpy

@@ -27,8 +27,7 @@ def make_ctx(core_ids, left=(), right=(), bos=0, eos=1,
     enc = SubwordEncoding(ids=list(core_ids), first_subtoken_of_token=firsts,
                           subtoken_count_per_token=counts)
     return ContextualizedSentence(left_ids=list(left), core=enc,
-                                  right_ids=list(right),
-                                  core_start=len(left) + 1, bos_id=bos, eos_id=eos)
+                                  right_ids=list(right), bos_id=bos, eos_id=eos)
 
 
 def batch_of(*ctxs):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,27 @@ class TestScoreFixtures:
         gold = parse_conll("a B-LOC\nb I-LOC\n")
         pred = parse_conll("a B-LOC\nb E-LOC\n")
         assert score(gold, pred).token_accuracy == 100.0
+
+    def test_iob1_gold_scores_without_repair_warnings(self, caplog):
+        # IOB1 (original CoNLL-03 files): I- opens a span, B- only splits two
+        # adjacent spans of one type
+        gold_tags = [["I-PER", "I-PER", "O", "I-LOC"], ["O", "I-ORG", "B-ORG"]]
+        pred_tags = [["B-PER", "I-PER", "O", "O"], ["O", "B-ORG", "I-ORG"]]
+        gold, pred = corpus_pair(gold_tags, pred_tags)
+        with caplog.at_level(logging.WARNING, logger="docner"):
+            report = score(gold, pred)
+            score(gold, pred)
+        assert not caplog.records
+        # gold PER(0,1) LOC(3,3) ORG(1,1) ORG(2,2); predicted PER(0,1) ORG(1,2)
+        assert report.per_type["PER"] == TypeScore(gold=1, predicted=1, correct=1)
+        assert report.per_type["LOC"] == TypeScore(gold=1, predicted=0, correct=0)
+        assert report.per_type["ORG"] == TypeScore(gold=2, predicted=1, correct=0)
+        assert (round2(report.micro.precision), round2(report.micro.recall),
+                round2(report.micro.f1)) == (50.00, 25.00, 33.33)
+        # BIO views differ at LOC (B-LOC vs O) and at the second ORG token
+        # (B-ORG vs I-ORG): 5 of 7 tokens agree
+        assert report.token_count == 7
+        assert report.token_accuracy == pytest.approx(100.0 * 5 / 7)
 
     def test_micro_f1_invariant_to_scheme_reencoding(self):
         from docner.corpus import TagScheme, convert_scheme

@@ -17,7 +17,7 @@ from docner.experiments import ExperimentConfig, build_model
 from docner.model import NerModel, bioes_labels, predict_corpus
 from docner.synthetic import corpus_from_documents, overfit_corpus
 from docner.tagger import crf_nll, linear_head, softmax_nll
-from docner.tokenizer import encode, first_subword_pool, train_vocab
+from docner.tokenizer import encode, train_vocab
 from test_acceptance import _mini_tagging_model
 from test_encoder import assert_close_to, reference_forward
 
@@ -122,8 +122,7 @@ def graph_size(root):
 def reference_sentence_loss(model, tokens, ctx, gold):
     """A fine-tune sentence's loss through the per-sentence reference encoder."""
     hidden = reference_forward(model.encoder, ctx.assembled_ids())
-    reps = first_subword_pool(pool_layers(hidden, model.strategy),
-                              ctx.shifted_alignment())
+    reps = ad.take_rows(pool_layers(hidden, model.strategy), ctx.shifted_alignment())
     emissions = linear_head(concat_word_embeddings(reps, tokens, model.word_table),
                             model.head_w, model.head_b)
     if model.crf is not None:
@@ -198,7 +197,7 @@ class TestParameters:
             feature.bilstm.parameters()
             + [feature.head_w, feature.head_b, feature.crf.transitions])
         assert finetune.trainable_parameters() == finetune.all_parameters() == (
-            finetune.encoder_parameters()
+            finetune.encoder.parameters()
             + [finetune.word_table.vectors, finetune.head_w, finetune.head_b])
 
 
@@ -289,6 +288,13 @@ class TestCheckpoint:
         path = saved_then_edited(setup, tmp_path,
                                  edit_arrays=lambda arrays: arrays.pop("param/head_b"))
         with pytest.raises(ValueError, match="lacks parameters: head_b"):
+            NerModel.load(path)
+
+    @pytest.mark.parametrize("strategy", ["bogus", "last_four_concat"])
+    def test_invalid_layer_strategy_rejected(self, setup, tmp_path, strategy):
+        path = saved_then_edited(
+            setup, tmp_path, edit_meta=lambda meta: meta.update(layer_strategy=strategy))
+        with pytest.raises(ValueError, match="layer_strategy"):
             NerModel.load(path)
 
     def test_feature_mode_without_bilstm_size_rejected(self, setup, tmp_path):
@@ -386,6 +392,13 @@ class TestPredictCorpus:
             NerModel(vocab, corpus.label_set, TINY, mode="distill")
         with pytest.raises(ValueError):
             NerModel(vocab, corpus.label_set, TINY, head="biaffine")
+
+    @pytest.mark.parametrize("strategy", ["bogus", "last_four_concat"])
+    def test_invalid_layer_strategy_rejected(self, setup, strategy):
+        corpus, vocab = setup
+        two_layers = dataclasses.replace(TINY, layers=2)
+        with pytest.raises(ValueError, match="layer_strategy"):
+            NerModel(vocab, corpus.label_set, two_layers, layer_strategy=strategy)
 
 
 WORDS = ["Tevin", "went", "to", "Ostia", ".", "Nordex", "Group", "qz", "x"]

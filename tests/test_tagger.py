@@ -290,8 +290,8 @@ def reference_crf_log_z(emissions, crf):
 def reference_lstm_direction(features, w, u, b, hidden, order):
     """One LSTM direction as per-timestep autodiff ops (the reference)."""
     pre_all = features @ w
-    h = ad.constant(np.zeros((1, hidden)))
-    c = ad.constant(np.zeros((1, hidden)))
+    h = Tensor(np.zeros((1, hidden)))
+    c = Tensor(np.zeros((1, hidden)))
     outputs = {}
     for t in order:
         pre = ad.take_rows(pre_all, [t]) + h @ u + b
@@ -311,7 +311,7 @@ def value_and_grads(f, inputs):
         x.grad = None
     out = f()
     weights = np.random.default_rng(99).normal(size=out.shape)
-    ad.tsum(out * ad.constant(weights)).backward()
+    ad.tsum(out * Tensor(weights)).backward()
     return out.data, [x.grad for x in inputs]
 
 

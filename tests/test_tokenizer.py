@@ -1,10 +1,7 @@
-import numpy as np
 import pytest
 
-from docner import autodiff as ad
 from docner.corpus import parse_conll
-from docner.tokenizer import (SubwordEncoding, SubwordVocab, encode,
-                              first_subword_pool, train_vocab)
+from docner.tokenizer import SubwordEncoding, SubwordVocab, encode, train_vocab
 
 
 def corpus_of(text):
@@ -113,43 +110,6 @@ class TestSerialization:
         vocab = train_vocab(corpus, 20)
         loaded = SubwordVocab.loads(vocab.dumps())
         assert loaded.encode_token("née") == vocab.encode_token("née")
-
-
-class TestFirstSubwordPool:
-    def test_selects_rows(self, rng):
-        states = rng.normal(size=(7, 3))
-        out = first_subword_pool(states, [0, 1, 4])
-        np.testing.assert_array_equal(out, states[[0, 1, 4]])
-
-    def test_identity_when_single_subtoken(self, rng):
-        states = rng.normal(size=(4, 2))
-        np.testing.assert_array_equal(first_subword_pool(states, [0, 1, 2, 3]),
-                                      states)
-
-    def test_direct_indexing_oracle(self, rng):
-        states = rng.normal(size=(7, 3))
-        alignment = [0, 2, 5]
-        out = first_subword_pool(states, alignment)
-        for t, a in enumerate(alignment):
-            np.testing.assert_array_equal(out[t], states[a])
-
-    def test_out_of_range_errors(self, rng):
-        with pytest.raises(IndexError):
-            first_subword_pool(rng.normal(size=(3, 2)), [0, 3])
-
-    def test_pooling_commutes_with_scaling(self, rng):
-        states = rng.normal(size=(6, 4))
-        alignment = [1, 3]
-        np.testing.assert_array_equal(first_subword_pool(states * 2.5, alignment),
-                                      first_subword_pool(states, alignment) * 2.5)
-
-    def test_tensor_input_keeps_gradients(self, rng):
-        states = ad.Tensor(rng.normal(size=(5, 2)))
-        out = first_subword_pool(states, [0, 4])
-        ad.tsum(out).backward()
-        expected = np.zeros((5, 2))
-        expected[[0, 4]] = 1.0
-        np.testing.assert_array_equal(states.grad, expected)
 
 
 class TestSubwordEncodingInvariants:

@@ -208,11 +208,11 @@ class TestTrainFeatureBased:
         corpus, vocab = train_setup
         dev = overfit_corpus(6, seed=8, split="dev")
         model = small_model(corpus, vocab, mode="feature", head="crf")
-        before = b"".join(p.data.tobytes() for p in model.encoder_parameters())
+        before = b"".join(p.data.tobytes() for p in model.encoder.parameters())
         model, _ = train_feature_based(model, corpus,
                                        FeatureBasedConfig(max_epochs=3), seed=1,
                                        dev_corpus=dev)
-        after = b"".join(p.data.tobytes() for p in model.encoder_parameters())
+        after = b"".join(p.data.tobytes() for p in model.encoder.parameters())
         assert before == after
 
     def test_changed_word_table_is_caught(self, train_setup, monkeypatch):
