@@ -41,7 +41,7 @@ for doc in corpus.documents:
 # Span extraction is exact-match oriented: (type, start, end) triples.
 tags = ["B-ORG", "I-ORG", "O", "B-LOC"]
 print(f"\nspans of {tags}:")
-for span in spans_from_tags(tags, TagScheme.BIO):
+for span in spans_from_tags(tags):
     print(f"  {span.entity_type} @ tokens {span.start}..{span.end}")
 
 # Training happens in BIOES internally; conversion preserves the span set

@@ -109,8 +109,6 @@ class Tensor:
                 continue
             parent_grads = node._backward(node.grad)
             for parent, g in zip(node._parents, parent_grads):
-                if g is None:
-                    continue
                 if parent.grad is None:
                     # copied, never aliased: `add` hands one array to both parents
                     parent.grad = np.empty_like(parent.data)
@@ -132,12 +130,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -287,28 +279,17 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor(y, (a,), back)
 
 
-def log_sum_exp(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(a))) computed as m + log(sum(exp(a - m))), m = max(a)."""
+def log_sum_exp(a: Tensor, axis: int) -> Tensor:
+    """log(sum(exp(a))) along `axis`, which is dropped from the result;
+    computed as m + log(sum(exp(a - m))), m = max(a) along `axis`."""
     a = as_tensor(a)
     if a.data.size == 0:
         raise ValueError("log_sum_exp of an empty tensor")
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=axis, keepdims=True)
-    out = m + np.log(s)
-    if not keepdims and axis is not None:
-        out = np.squeeze(out, axis=axis)
-    elif axis is None and not keepdims:
-        out = out.reshape(())
-
-    def back(g):
-        soft = e / s
-        if axis is None:
-            return (soft * g,)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return (soft * g2,)
-
-    return Tensor(out, (a,), back)
+    out = np.squeeze(m + np.log(s), axis=axis)
+    return Tensor(out, (a,), lambda g: (e / s * np.expand_dims(g, axis),))
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -321,7 +302,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     y = xhat * gain.data + bias.data
 
     def back(g):
-        d = a.data.shape[-1]
         gxhat = g * gain.data
         dx = inv * (gxhat
                     - gxhat.mean(axis=-1, keepdims=True)

@@ -185,11 +185,12 @@ def detect_scheme(tags) -> TagScheme:
     return TagScheme.BIO
 
 
-def spans_from_tags(tags: list[str], scheme: TagScheme) -> list[Span]:
+def spans_from_tags(tags: list[str]) -> list[Span]:
     """Extract maximal non-overlapping typed spans, scorer-compatible.
 
-    Tolerant reading: an inside/end tag that does not continue an open span
-    of the same type starts a new span (the standard repair).
+    One tolerant reader serves BIO and BIOES alike: an inside/end tag that
+    does not continue an open span of the same type starts a new span (the
+    standard repair), and E-/S- close the span they end.
     """
     spans: list[Span] = []
     start = None
@@ -240,7 +241,7 @@ def convert_scheme(tags: list[str], source: TagScheme, target: TagScheme) -> lis
     """
     if _needs_repair(tags, source):
         logger.warning("repairing malformed %s tag sequence %s", source.name, tags)
-    spans = spans_from_tags(tags, source)
+    spans = spans_from_tags(tags)
     return tags_from_spans(spans, len(tags), target)
 
 

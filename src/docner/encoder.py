@@ -31,7 +31,6 @@ class TransformerConfig:
     model_dim: int = 128
     ff_dim: int = 512
     max_positions: int = 512
-    vocab_size: int = 0  # filled in from the subword vocab
     dropout: float = 0.0
 
     def __post_init__(self):
@@ -44,11 +43,11 @@ class TransformerConfig:
 
 
 class TransformerEncoder:
-    """Pre-norm self-attention encoder returning all layer outputs."""
+    """Pre-norm self-attention encoder returning all layer outputs; its
+    embedding table has one row per subword id of a `vocab_size` vocabulary."""
 
-    def __init__(self, config: TransformerConfig, rng: np.random.Generator):
-        if config.vocab_size < 1:
-            raise ValueError("vocab_size must be set before building the encoder")
+    def __init__(self, config: TransformerConfig, vocab_size: int,
+                 rng: np.random.Generator):
         self.config = config
         c = config
         scale = 0.02
@@ -58,7 +57,7 @@ class TransformerEncoder:
 
         self.params: dict[str, Tensor] = {}
         p = self.params
-        p["tok_emb"] = normal(c.vocab_size, c.model_dim)
+        p["tok_emb"] = normal(vocab_size, c.model_dim)
         p["pos_emb"] = normal(c.max_positions, c.model_dim)
         for i in range(c.layers):
             p[f"l{i}.ln1_g"] = Tensor(np.ones(c.model_dim))
@@ -210,11 +209,11 @@ class StaticEmbeddingTable:
     """
 
     def __init__(self, tokens: list[str], dim: int, rng: np.random.Generator):
-        self.dim = dim
+        if dim < 1:
+            raise ValueError(f"word_dim must be a positive size, got {dim}")
         ordered = sorted(set(tokens))
         self.index = {tok: i + 1 for i, tok in enumerate(ordered)}
-        self.vectors = Tensor(rng.normal(0.0, 0.1, size=(len(ordered) + 1, dim))
-                              if dim > 0 else np.zeros((len(ordered) + 1, 0)))
+        self.vectors = Tensor(rng.normal(0.0, 0.1, size=(len(ordered) + 1, dim)))
 
     def row_of(self, token: str) -> int:
         idx = self.index.get(token)
@@ -229,7 +228,7 @@ class StaticEmbeddingTable:
 def concat_word_embeddings(token_reps: Tensor, tokens: list[str],
                            table: StaticEmbeddingTable | None) -> Tensor:
     """Append static word vectors to each token representation row."""
-    if table is None or table.dim == 0:
+    if table is None:
         return token_reps
     if token_reps.shape[0] != len(tokens):
         raise ValueError("token representation rows do not match the token count")

@@ -103,8 +103,8 @@ def score(gold: Corpus, predicted: Corpus) -> EvalReport:
     correct_tokens = 0
     total_tokens = 0
     for gs, ps in zip(gold_sents, pred_sents):
-        gold_spans = set(spans_from_tags(gs.gold_tags, gold.scheme))
-        pred_spans = set(spans_from_tags(ps.predicted_tags, predicted.scheme))
+        gold_spans = set(spans_from_tags(gs.gold_tags))
+        pred_spans = set(spans_from_tags(ps.predicted_tags))
         for span in gold_spans:
             counts.setdefault(span.entity_type, [0, 0, 0])[0] += 1
         for span in pred_spans:

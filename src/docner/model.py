@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 import io
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class NerModel:
         self.label_to_id = {t: i for i, t in enumerate(self.labels)}
         self.context = context
         self.mode = mode
-        self.head = head
         self.strategy = self.settings["layer_strategy"]
         try:
             check_pool_strategy(self.strategy, transformer.layers)
@@ -91,12 +90,9 @@ class NerModel:
         self._stream: SubtokenStream | None = None
         rng = np.random.default_rng(seed)
 
-        cfg = transformer
-        if cfg.vocab_size != len(vocab):
-            cfg = replace(cfg, vocab_size=len(vocab))
-        self.encoder = TransformerEncoder(cfg, rng)
+        self.encoder = TransformerEncoder(transformer, len(vocab), rng)
 
-        width = cfg.model_dim
+        width = transformer.model_dim
         if self.strategy == "last_four_concat":
             width *= 4
         self.word_table = None
@@ -238,8 +234,7 @@ class NerModel:
             ids = (viterbi(scores, self.crf)[0] if self.crf is not None
                    else greedy_decode(scores))
         tags = [self.labels[i] for i in ids]
-        return tags_from_spans(spans_from_tags(tags, TagScheme.BIOES),
-                               len(tags), scheme)
+        return tags_from_spans(spans_from_tags(tags), len(tags), scheme)
 
     def gold_ids(self, sentence: Sentence, scheme: TagScheme) -> list[int]:
         tags = convert_scheme(sentence.gold_tags, scheme, TagScheme.BIOES)
@@ -273,6 +268,8 @@ class NerModel:
             unknown = sorted(set(settings) - set(inspect.signature(cls).parameters))
             if unknown:
                 raise ValueError(f"unknown checkpoint meta keys: {', '.join(unknown)}")
+            # earlier versions also saved the embedding rows, always len(vocab)
+            settings["transformer"].pop("vocab_size", None)
             settings.update(vocab=SubwordVocab.loads(settings["vocab"]),
                             transformer=TransformerConfig(**settings["transformer"]),
                             context=ContextConfig(**settings["context"]))

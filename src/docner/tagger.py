@@ -196,16 +196,13 @@ class BiLstmParams:
     order (input, forget, cell, output). Output width is 2H.
     """
 
-    def __init__(self, input_dim: int, hidden: int = 256,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator):
         if hidden < 1:
             raise ValueError(f"bilstm_hidden must be a positive size, got {hidden}")
         self.hidden = hidden
         k = 1.0 / np.sqrt(hidden)
 
         def init(*shape):
-            if rng is None:
-                return Tensor(np.zeros(shape))
             return Tensor(rng.uniform(-k, k, size=shape))
 
         self.params: dict[str, Tensor] = {}

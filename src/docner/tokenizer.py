@@ -126,7 +126,9 @@ class SubwordVocab:
 
 
 def _escape(s: str) -> str:
-    return s.encode("unicode_escape").decode("ascii")
+    """`unicode_escape` text with `#` written as `\\x23`, so that no symbol
+    line reads as a section header."""
+    return s.encode("unicode_escape").decode("ascii").replace("#", r"\x23")
 
 
 def _unescape(s: str) -> str:

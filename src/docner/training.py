@@ -31,8 +31,6 @@ class FineTuneConfig:
     lr_scale: float = 100.0  # from-scratch toy models need far more than 5e-6
     batch_size: int = 4
     max_epochs: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
     weight_decay: float = 0.01
     include_dev: bool = False
 
@@ -210,8 +208,7 @@ def train_finetune(model: NerModel, corpus: Corpus, config: FineTuneConfig,
         items += _prepare_items(model, dev_corpus)
 
     rng = np.random.default_rng(seed)
-    opt = AdamW(model.trainable_parameters(), beta1=config.beta1,
-                beta2=config.beta2, weight_decay=config.weight_decay)
+    opt = AdamW(model.trainable_parameters(), weight_decay=config.weight_decay)
     total_steps = config.max_epochs * math.ceil(len(items) / config.batch_size)
     steps = itertools.count()
 

@@ -414,5 +414,5 @@ def test_criterion_9_scheme_properties():
             tags = convert_scheme(tags, TagScheme.BIO, TagScheme.BIOES)
             source, target = TagScheme.BIOES, TagScheme.BIO
         converted = convert_scheme(tags, source, target)
-        assert spans_from_tags(converted, target) == spans_from_tags(tags, source)
+        assert spans_from_tags(converted) == spans_from_tags(tags)
         assert convert_scheme(converted, target, source) == tags

@@ -210,6 +210,13 @@ class TestRunExperiment:
                 (tmp_path / f"runs_{run}" / "tiny" / "results.csv").read_text())
         assert outputs[0] == outputs[1]
 
+    def test_encoder_vocab_size_in_config_rejected(self, tmp_path):
+        paths = write_corpus_files(tmp_path)
+        config = write_config(tmp_path, paths,
+                              transformer=dict(TINY_TRANSFORMER, vocab_size=300))
+        with pytest.raises(TypeError, match="vocab_size"):
+            main(["run-experiment", "--config", str(config)])
+
 
 class TestSweepContext:
     def test_single_window_matches_run_experiment(self, tmp_path, capsys):

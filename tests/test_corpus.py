@@ -147,24 +147,24 @@ class TestParseConll:
 
 class TestSpansFromTags:
     def test_outside_only(self):
-        assert spans_from_tags(["O", "O"], TagScheme.BIO) == []
+        assert spans_from_tags(["O", "O"]) == []
 
     def test_bio_spans(self):
-        spans = spans_from_tags(["B-PER", "I-PER", "O", "B-LOC"], TagScheme.BIO)
+        spans = spans_from_tags(["B-PER", "I-PER", "O", "B-LOC"])
         assert spans == [Span("PER", 0, 1), Span("LOC", 3, 3)]
 
     def test_bioes_spans(self):
-        spans = spans_from_tags(["S-ORG", "B-ORG", "E-ORG"], TagScheme.BIOES)
+        spans = spans_from_tags(["S-ORG", "B-ORG", "E-ORG"])
         assert spans == [Span("ORG", 0, 0), Span("ORG", 1, 2)]
 
     def test_span_at_sequence_end(self):
-        assert spans_from_tags(["O", "B-LOC", "I-LOC"], TagScheme.BIO) == \
+        assert spans_from_tags(["O", "B-LOC", "I-LOC"]) == \
             [Span("LOC", 1, 2)]
 
     @settings(max_examples=200)
     @given(bio_sequences())
     def test_matches_brute_force_segmenter(self, tags):
-        assert spans_from_tags(tags, TagScheme.BIO) == brute_force_bio_spans(tags)
+        assert spans_from_tags(tags) == brute_force_bio_spans(tags)
 
 
 class TestConvertScheme:
@@ -179,8 +179,7 @@ class TestConvertScheme:
         out = convert_scheme(["B-ORG", "I-ORG", "I-ORG", "O"],
                              TagScheme.BIO, TagScheme.BIOES)
         assert out == ["B-ORG", "I-ORG", "E-ORG", "O"]
-        assert spans_from_tags(out, TagScheme.BIOES) == \
-            spans_from_tags(["B-ORG", "I-ORG", "I-ORG", "O"], TagScheme.BIO)
+        assert spans_from_tags(out) == spans_from_tags(["B-ORG", "I-ORG", "I-ORG", "O"])
 
     def test_repair_promotes_and_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="docner.corpus"):
@@ -220,8 +219,7 @@ class TestConvertScheme:
     @given(bio_sequences())
     def test_span_preservation(self, tags):
         converted = convert_scheme(tags, TagScheme.BIO, TagScheme.BIOES)
-        assert spans_from_tags(converted, TagScheme.BIOES) == \
-            spans_from_tags(tags, TagScheme.BIO)
+        assert spans_from_tags(converted) == spans_from_tags(tags)
 
 
 class TestTagsFromSpans:
@@ -229,4 +227,4 @@ class TestTagsFromSpans:
         spans = [Span("PER", 0, 2), Span("LOC", 4, 4)]
         for scheme in TagScheme:
             tags = tags_from_spans(spans, 6, scheme)
-            assert spans_from_tags(tags, scheme) == spans
+            assert spans_from_tags(tags) == spans

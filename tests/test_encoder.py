@@ -36,17 +36,17 @@ def batch_of(*ctxs):
 
 @pytest.fixture
 def encoder(rng):
-    return TransformerEncoder(TransformerConfig(vocab_size=30, **TINY), rng)
+    return TransformerEncoder(TransformerConfig(**TINY), 30, rng)
 
 
 class TestTransformerConfig:
     def test_dim_head_divisibility(self):
         with pytest.raises(ValueError):
-            TransformerConfig(heads=3, model_dim=8, vocab_size=10)
+            TransformerConfig(heads=3, model_dim=8)
 
     def test_dropout_range(self):
         with pytest.raises(ValueError):
-            TransformerConfig(vocab_size=10, dropout=1.0)
+            TransformerConfig(dropout=1.0)
 
 
 class TestEncodeTransformer:
@@ -63,7 +63,7 @@ class TestEncodeTransformer:
     def test_zero_layer_model_position_independent(self, rng):
         enc = TransformerEncoder(
             TransformerConfig(layers=0, heads=2, model_dim=8, ff_dim=16,
-                              max_positions=32, vocab_size=30), rng)
+                              max_positions=32), 30, rng)
         a, b = make_ctx([5, 6], right=[7]), make_ctx([5, 6], right=[9])
         with ad.no_grad():
             ha = enc.forward(np.asarray([a.assembled_ids()]), [a.assembled_length])
@@ -94,9 +94,9 @@ class TestEncodeTransformer:
             encode_transformer(batch_of(ctx), encoder)
 
     def test_deterministic(self, rng):
-        cfg = TransformerConfig(vocab_size=30, **TINY)
-        e1 = TransformerEncoder(cfg, np.random.default_rng(3))
-        e2 = TransformerEncoder(cfg, np.random.default_rng(3))
+        cfg = TransformerConfig(**TINY)
+        e1 = TransformerEncoder(cfg, 30, np.random.default_rng(3))
+        e2 = TransformerEncoder(cfg, 30, np.random.default_rng(3))
         ctx = make_ctx([4, 5, 6], left=[2], right=[3])
         with ad.no_grad():
             h1 = encode_transformer(batch_of(ctx), e1)[-1].data
@@ -168,7 +168,7 @@ class TestBatchedForward:
     def test_rows_match_per_sentence_reference(self, rng, strategy):
         enc = TransformerEncoder(
             TransformerConfig(layers=4, heads=2, model_dim=8, ff_dim=16,
-                              max_positions=64, vocab_size=30), rng)
+                              max_positions=64), 30, rng)
         ctxs = mixed_length_batch(rng, 64)
         lengths = [c.assembled_length for c in ctxs]
         assert lengths[0] == 3 and lengths[-1] == 64 and len(set(lengths)) == 4
@@ -221,7 +221,7 @@ class TestPoolLayers:
     def test_two_term_mean(self, rng):
         enc = TransformerEncoder(
             TransformerConfig(layers=1, heads=2, model_dim=8, ff_dim=16,
-                              max_positions=32, vocab_size=30), rng)
+                              max_positions=32), 30, rng)
         with ad.no_grad():
             hidden = encode_transformer(batch_of(make_ctx([3, 4])), enc)
             pooled = pool_layers(hidden, "all_layer_mean")
@@ -232,7 +232,7 @@ class TestPoolLayers:
     def test_last_four_concat_width(self, rng):
         enc = TransformerEncoder(
             TransformerConfig(layers=4, heads=2, model_dim=8, ff_dim=16,
-                              max_positions=32, vocab_size=30), rng)
+                              max_positions=32), 30, rng)
         with ad.no_grad():
             hidden = encode_transformer(batch_of(make_ctx([3, 4])), enc)
             pooled = pool_layers(hidden, "last_four_concat")
@@ -288,10 +288,12 @@ class TestExtractCoreTokens:
 
 
 class TestStaticEmbeddings:
-    def test_zero_dim_table_is_identity(self, rng):
+    def test_zero_dim_table_rejected(self, rng):
+        with pytest.raises(ValueError, match="word_dim"):
+            StaticEmbeddingTable(["a", "b"], 0, rng)
+
+    def test_no_table_is_identity(self, rng):
         reps = Tensor(rng.normal(size=(3, 4)))
-        table = StaticEmbeddingTable(["a", "b"], 0, rng)
-        assert concat_word_embeddings(reps, ["a", "b", "c"], table) is reps
         assert concat_word_embeddings(reps, ["a", "b", "c"], None) is reps
 
     def test_all_oov_tokens_share_oov_vector(self, rng):
@@ -332,8 +334,8 @@ class TestContextLocality:
         text_b = "-DOCSTART- O\n\ngamma O\ndelta O\nextra O\n\n-DOCSTART- O\n\ntarget B-LOC\nhere O\n"
         ca, cb = parse_conll(text_a), parse_conll(text_b)
         vocab = train_vocab(ca, 60)  # alphabet covers both variants
-        cfg = TransformerConfig(vocab_size=len(vocab), **TINY)
-        enc = TransformerEncoder(cfg, np.random.default_rng(0))
+        enc = TransformerEncoder(TransformerConfig(**TINY), len(vocab),
+                                 np.random.default_rng(0))
         outs = []
         for corpus in (ca, cb):
             doc = corpus.documents[1]

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 import docner.context
 from docner import autodiff as ad
 from docner.context import ContextConfig
-from docner.corpus import TagScheme, spans_from_tags
+from docner.corpus import TagScheme, parse_conll, spans_from_tags
 from docner.encoder import TransformerConfig, concat_word_embeddings, pool_layers
 from docner.experiments import ExperimentConfig, build_model
 from docner.model import NerModel, bioes_labels, predict_corpus
 from docner.synthetic import corpus_from_documents, overfit_corpus
 from docner.tagger import crf_nll, linear_head, softmax_nll
 from docner.tokenizer import encode, train_vocab
+from docner.training import FineTuneConfig, train_finetune
 from test_acceptance import _mini_tagging_model
 from test_encoder import assert_close_to, reference_forward
 
@@ -54,8 +55,7 @@ class TestLabelInventory:
                         if any(t.gold_tag.startswith("B-") for t in s.tokens))
         ids = model.gold_ids(sentence, corpus.scheme)
         tags = [model.labels[i] for i in ids]
-        assert spans_from_tags(tags, TagScheme.BIOES) == \
-            spans_from_tags(sentence.gold_tags, corpus.scheme)
+        assert spans_from_tags(tags) == spans_from_tags(sentence.gold_tags)
 
 
 class TestForwardPaths:
@@ -304,12 +304,40 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="bilstm_hidden"):
             NerModel.load(path)
 
+    def test_word_embeddings_without_width_rejected(self, setup, tmp_path):
+        path = saved_then_edited(
+            setup, tmp_path,
+            edit_meta=lambda meta: meta.update(use_word_embeddings=True, word_dim=0))
+        with pytest.raises(ValueError, match="word_dim"):
+            NerModel.load(path)
+
+    def test_encoder_vocab_size_of_earlier_versions_ignored(self, setup, tmp_path):
+        # earlier versions saved the embedding row count in the transformer meta
+        corpus, vocab = setup
+        path = saved_then_edited(
+            setup, tmp_path,
+            edit_meta=lambda meta: meta["transformer"].update(vocab_size=len(vocab)))
+        loaded = NerModel.load(path)
+        assert loaded.settings["transformer"] == TINY
+        assert_same_model(NerModel(vocab, corpus.label_set, TINY, seed=0), loaded, corpus)
+
+    def test_hash_tokens_round_trip(self, tmp_path):
+        corpus = parse_conll("#1 B-NUM\nrose O\n\n#2 B-NUM\nfell O\n")
+        vocab = train_vocab(corpus, 20)
+        assert "#" in vocab.alphabet
+        model = NerModel(vocab, corpus.label_set, TINY, seed=0)
+        train_finetune(model, corpus, FineTuneConfig(max_epochs=1), seed=0)
+        assert_round_trip(model, corpus, tmp_path)
+
 
 def assert_round_trip(model, corpus, tmp_path):
     """Save then load `model`: same arguments, parameters and predictions."""
     path = tmp_path / "model.npz"
     model.save(path)
-    loaded = NerModel.load(path)
+    assert_same_model(model, NerModel.load(path), corpus)
+
+
+def assert_same_model(model, loaded, corpus):
     assert loaded.settings.keys() == set(inspect.signature(NerModel).parameters)
     for name, value in model.settings.items():
         if name == "vocab":
@@ -328,6 +356,15 @@ def assert_round_trip(model, corpus, tmp_path):
 
 
 class TestBuildModel:
+    def test_shared_defaults_match_the_constructor(self):
+        parameters = inspect.signature(NerModel).parameters
+        shared = [f.name for f in dataclasses.fields(ExperimentConfig)
+                  if f.name in parameters and f.name != "transformer"]
+        assert len(shared) == 8
+        defaults = ExperimentConfig()
+        for name in shared:
+            assert getattr(defaults, name) == parameters[name].default, name
+
     def test_forwards_every_shared_config_field(self, setup):
         corpus, vocab = setup
         shared = dict(NON_DEFAULT_SETTINGS, transformer=FOUR_LAYERS)

@@ -111,6 +111,14 @@ class TestSerialization:
         loaded = SubwordVocab.loads(vocab.dumps())
         assert loaded.encode_token("née") == vocab.encode_token("née")
 
+    def test_hash_symbols_round_trip(self):
+        vocab = train_vocab(corpus_of("#1 #1 #1 a#b"), 10)
+        assert "#" in vocab.alphabet and ("#", "1") in vocab.merges
+        loaded = SubwordVocab.loads(vocab.dumps())
+        assert loaded.alphabet == vocab.alphabet
+        assert loaded.merges == vocab.merges
+        assert loaded.encode_token("a#1") == vocab.encode_token("a#1")
+
 
 class TestSubwordEncodingInvariants:
     def test_counts_must_sum(self):
