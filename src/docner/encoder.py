@@ -6,7 +6,10 @@ trained from scratch. It encodes a batch of sentences in one pass, their
 assembled inputs right-padded to the longest with padded keys masked out
 of attention, and returns the output of every layer, embedding layer
 included, so downstream code can pool layers the way the two training
-regimes need (last layer, all-layer mean, last-four concat).
+regimes need (last layer, all-layer mean, last-four concat). Only each core
+token's first subtoken is read downstream, so the last layer, which no later
+layer reads as keys, computes only those rows; callers take each layer's
+core rows first and pool them after.
 """
 
 from __future__ import annotations
@@ -78,14 +81,19 @@ class TransformerEncoder:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def forward(self, ids: np.ndarray, lengths: Sequence[int], train: bool = False,
+    def forward(self, ids: np.ndarray, lengths: Sequence[int], queries: np.ndarray,
+                train: bool = False,
                 rng: np.random.Generator | None = None) -> list[Tensor]:
         """Encode a [B, n] batch of right-padded subtoken ids, of which the
         first ``lengths[b]`` of row b are real.
 
-        Returns [embeddings, layer 1, ..., layer L], each [B*n, D] with
-        sentence b in rows b*n to b*n + n - 1. Padded keys get a -inf
-        attention score, so a sentence's rows do not depend on the padding.
+        Returns [embeddings, layer 1, ..., layer L]. Each is [B*n, D] with
+        sentence b in rows b*n to b*n + n - 1, except layer L: it is computed
+        only at the [B, m] positions ``queries`` and is [B*m, D], row b*m + j
+        holding position ``queries[b, j]`` of sentence b. Its keys and values
+        still come from every position, and no later layer reads it, so those
+        rows equal the full layer's. Padded keys get a -inf attention score,
+        so a sentence's rows do not depend on the padding.
         """
         c = self.config
         batch, n = ids.shape
@@ -105,19 +113,23 @@ class TransformerEncoder:
         hidden = [x]
         inv_sqrt = 1.0 / math.sqrt(head_dim)
 
-        def split_heads(t: Tensor) -> Tensor:  # [B*n, D] -> [B, H, n, d_head]
-            return ad.transpose(ad.reshape(t, (batch, n, heads, head_dim)), (0, 2, 1, 3))
+        def split_heads(t: Tensor) -> Tensor:  # [B*rows, D] -> [B, H, rows, d_head]
+            return ad.transpose(ad.reshape(t, (batch, -1, heads, head_dim)), (0, 2, 1, 3))
 
         for i in range(c.layers):
+            last = i == c.layers - 1
             a = ad.layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            q = split_heads(a @ p[f"l{i}.wq"] + p[f"l{i}.wq_b"])
             k = split_heads(a @ p[f"l{i}.wk"] + p[f"l{i}.wk_b"])
             v = split_heads(a @ p[f"l{i}.wv"] + p[f"l{i}.wv_b"])
+            if last:  # keys and values from every row, the rest at the queries only
+                rows = (np.arange(batch)[:, None] * n + queries).reshape(-1)
+                x, a = ad.take_rows(x, rows), ad.take_rows(a, rows)
+            q = split_heads(a @ p[f"l{i}.wq"] + p[f"l{i}.wq_b"])
             scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * inv_sqrt
             if key_mask is not None:
                 scores = scores + key_mask
             att = ad.softmax(scores, axis=-1)
-            o = ad.reshape(ad.transpose(att @ v, (0, 2, 1, 3)), (batch * n, d))
+            o = ad.reshape(ad.transpose(att @ v, (0, 2, 1, 3)), x.shape)
             o = o @ p[f"l{i}.wo"] + p[f"l{i}.wo_b"]
             o = ad.dropout(o, c.dropout, rng, train)
             x = x + o
@@ -125,7 +137,7 @@ class TransformerEncoder:
             f = ad.gelu(f @ p[f"l{i}.w1"] + p[f"l{i}.w1_b"]) @ p[f"l{i}.w2"] + p[f"l{i}.w2_b"]
             f = ad.dropout(f, c.dropout, rng, train)
             x = x + f
-            if i == c.layers - 1:
+            if last:
                 x = ad.layer_norm(x, p["final_ln_g"], p["final_ln_b"])
             hidden.append(x)
         return hidden
@@ -135,8 +147,9 @@ class PaddedBatch:
     """The assembled inputs of several sentences, right-padded to the longest.
 
     Row b of the encoder input is sentence b's assembled ids followed by
-    ``pad_id`` up to ``width``; the encoder output holds sentence b in
-    rows b*width onwards.
+    ``pad_id`` up to ``width``; a full-width encoder output holds sentence b
+    in rows b*width onwards. The last layer is computed only at each
+    sentence's core first subtokens, ``core_width`` query slots per sentence.
     """
 
     def __init__(self, ctxs: list[ContextualizedSentence], pad_id: int):
@@ -144,6 +157,7 @@ class PaddedBatch:
         self.pad_id = pad_id
         self.lengths = [ctx.assembled_length for ctx in ctxs]
         self.width = max(self.lengths)
+        self.core_width = max(len(ctx.core.first_subtoken_of_token) for ctx in ctxs)
 
     def assembled_ids(self) -> list[int]:
         """Every row of the padded input, pad slots included, row after row."""
@@ -154,18 +168,36 @@ class PaddedBatch:
         return ids
 
     def core_rows(self) -> list[int]:
-        """Output row of each core token's first subtoken, sentence after sentence."""
+        """Row of each core token's first subtoken in a full-width output,
+        sentence after sentence."""
         return [b * self.width + row for b, ctx in enumerate(self.ctxs)
                 for row in ctx.shifted_alignment()]
+
+    def query_positions(self) -> np.ndarray:
+        """[B, core_width] positions at which the last layer is computed:
+        sentence b's core first subtokens, then its position 0 (BOS) in the
+        query slots its shorter core leaves over."""
+        queries = np.zeros((len(self.ctxs), self.core_width), dtype=np.intp)
+        for b, ctx in enumerate(self.ctxs):
+            aligned = ctx.shifted_alignment()
+            queries[b, :len(aligned)] = aligned
+        return queries
+
+    def core_query_rows(self) -> list[int]:
+        """Row of each core token in the last layer's output, sentence after
+        sentence: the real query slots of `query_positions`."""
+        return [b * self.core_width + j for b, ctx in enumerate(self.ctxs)
+                for j in range(len(ctx.core.first_subtoken_of_token))]
 
 
 def encode_transformer(batch: PaddedBatch, model: TransformerEncoder,
                        train: bool = False,
                        rng: np.random.Generator | None = None) -> list[Tensor]:
-    """Run the encoder once over the padded assembled inputs of a batch."""
+    """Run the encoder once over the padded assembled inputs of a batch, its
+    last layer at the core first subtokens only."""
     ids = np.asarray(batch.assembled_ids(), dtype=np.intp)
     return model.forward(ids.reshape(len(batch.lengths), batch.width), batch.lengths,
-                         train=train, rng=rng)
+                         batch.query_positions(), train=train, rng=rng)
 
 
 def check_pool_strategy(strategy: str, layers: int) -> None:
@@ -177,27 +209,42 @@ def check_pool_strategy(strategy: str, layers: int) -> None:
         raise ValueError("last_four_concat needs at least 4 transformer layers")
 
 
-def pool_layers(hidden: list[Tensor], strategy: str) -> Tensor:
-    """Combine per-layer outputs into one matrix of subtoken representations."""
-    check_pool_strategy(strategy, len(hidden) - 1)
+def extract_core_tokens(hidden: list[Tensor], batch: PaddedBatch,
+                        strategy: str) -> list[Tensor]:
+    """The core-token rows of each layer output `strategy` pools, in layer
+    order, one gather per layer: every sentence's first subtoken of each core
+    token, sentence after sentence (first-subword pooling).
+
+    `hidden` is the encoder's [embeddings, layer 1, ..., layer L], the last
+    layer holding only the query slots of `PaddedBatch.query_positions`.
+    """
+    top = len(hidden) - 1
+    check_pool_strategy(strategy, top)
+    first = {"last_layer": top, "all_layer_mean": 0, "last_four_concat": top - 3}[strategy]
+    core = []
+    for i in range(first, top + 1):
+        queried = 0 < i == top
+        rows = len(batch.lengths) * (batch.core_width if queried else batch.width)
+        if hidden[i].shape[0] != rows:
+            raise ValueError(f"layer {i} output covers {hidden[i].shape[0]} rows but the "
+                             f"padded {'core' if queried else 'assembled input'} has {rows}")
+        core.append(ad.take_rows(hidden[i],
+                                 batch.core_query_rows() if queried else batch.core_rows()))
+    return core
+
+
+def pool_layers(layers: list[Tensor], strategy: str) -> Tensor:
+    """Combine layer outputs, in layer order, into one matrix of subtoken
+    representations: the last, the mean of all, or the concat of the last four."""
+    check_pool_strategy(strategy, len(layers))
     if strategy == "last_layer":
-        return hidden[-1]
+        return layers[-1]
     if strategy == "all_layer_mean":
-        total = hidden[0]
-        for h in hidden[1:]:
+        total = layers[0]
+        for h in layers[1:]:
             total = total + h
-        return total * (1.0 / len(hidden))
-    return ad.concat(hidden[-4:], axis=1)
-
-
-def extract_core_tokens(pooled: Tensor, batch: PaddedBatch) -> Tensor:
-    """One row per core token of every sentence of the batch, in one gather:
-    the row of each core token's first subtoken (first-subword pooling)."""
-    rows = len(batch.lengths) * batch.width
-    if pooled.shape[0] != rows:
-        raise ValueError(f"pooled matrix covers {pooled.shape[0]} positions but the "
-                         f"padded assembled input has {rows}")
-    return ad.take_rows(pooled, batch.core_rows())
+        return total * (1.0 / len(layers))
+    return ad.concat(layers[-4:], axis=1)
 
 
 class StaticEmbeddingTable:

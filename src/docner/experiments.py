@@ -62,6 +62,9 @@ class ExperimentConfig:
                          ("finetune", FineTuneConfig),
                          ("feature", FeatureBasedConfig)):
             if key in raw and isinstance(raw[key], dict):
+                unknown = set(raw[key]) - {f.name for f in dataclasses.fields(sub)}
+                if unknown:
+                    raise ValueError(f"unknown keys in {key}: {sorted(unknown)}")
                 raw[key] = sub(**raw[key])
         unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:

@@ -156,11 +156,13 @@ class NerModel:
     def token_features(self, tokens: list[list[str]], ctxs: list[ContextualizedSentence],
                        train: bool = False,
                        rng: np.random.Generator | None = None) -> Tensor:
-        """One padded encoder pass over a batch -> layer pooling -> the core-token
-        rows of every sentence, sentence after sentence -> (+WE)."""
+        """One padded encoder pass over a batch -> the core-token rows of every
+        sentence, sentence after sentence, in each pooled layer -> layer
+        pooling -> (+WE)."""
         batch = PaddedBatch(ctxs, self.vocab.pad_id)
         hidden = encode_transformer(batch, self.encoder, train=train, rng=rng)
-        reps = extract_core_tokens(pool_layers(hidden, self.strategy), batch)
+        reps = pool_layers(extract_core_tokens(hidden, batch, self.strategy),
+                           self.strategy)
         return concat_word_embeddings(reps, [t for ts in tokens for t in ts],
                                       self.word_table)
 
@@ -268,6 +270,10 @@ class NerModel:
             unknown = sorted(set(settings) - set(inspect.signature(cls).parameters))
             if unknown:
                 raise ValueError(f"unknown checkpoint meta keys: {', '.join(unknown)}")
+            for key in ("transformer", "context"):
+                if not isinstance(settings.get(key), dict):
+                    raise ValueError(f"checkpoint meta key {key} must hold an object, "
+                                     f"got {settings.get(key)!r}")
             # earlier versions also saved the embedding rows, always len(vocab)
             settings["transformer"].pop("vocab_size", None)
             settings.update(vocab=SubwordVocab.loads(settings["vocab"]),

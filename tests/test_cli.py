@@ -214,8 +214,13 @@ class TestRunExperiment:
         paths = write_corpus_files(tmp_path)
         config = write_config(tmp_path, paths,
                               transformer=dict(TINY_TRANSFORMER, vocab_size=300))
-        with pytest.raises(TypeError, match="vocab_size"):
+        with pytest.raises(ValueError, match=r"transformer: \['vocab_size'\]"):
             main(["run-experiment", "--config", str(config)])
+
+    def test_unknown_key_in_a_config_block_rejected(self):
+        from docner.experiments import ExperimentConfig
+        with pytest.raises(ValueError, match=r"unknown keys in context: \['windw'\]"):
+            ExperimentConfig.from_json('{"context": {"windw": 3}}')
 
 
 class TestSweepContext:

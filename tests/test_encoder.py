@@ -57,8 +57,8 @@ class TestEncodeTransformer:
         with ad.no_grad():
             ha = encode_transformer(batch_of(a), encoder)[-1].data
             hb = encode_transformer(batch_of(b), encoder)[-1].data
-        core_rows = slice(1, 4)
-        assert not np.allclose(ha[core_rows], hb[core_rows])
+        assert ha.shape == (3, 8)  # the last layer holds the core rows only
+        assert not np.allclose(ha, hb)
 
     def test_zero_layer_model_position_independent(self, rng):
         enc = TransformerEncoder(
@@ -66,8 +66,10 @@ class TestEncodeTransformer:
                               max_positions=32), 30, rng)
         a, b = make_ctx([5, 6], right=[7]), make_ctx([5, 6], right=[9])
         with ad.no_grad():
-            ha = enc.forward(np.asarray([a.assembled_ids()]), [a.assembled_length])
-            hb = enc.forward(np.asarray([b.assembled_ids()]), [b.assembled_length])
+            ha = enc.forward(np.asarray([a.assembled_ids()]), [a.assembled_length],
+                             np.asarray([[1, 2]]))
+            hb = enc.forward(np.asarray([b.assembled_ids()]), [b.assembled_length],
+                             np.asarray([[1, 2]]))
         assert len(ha) == 1
         np.testing.assert_array_equal(ha[0].data[:3], hb[0].data[:3])
 
@@ -78,7 +80,8 @@ class TestEncodeTransformer:
         with ad.no_grad():
             ha = encode_transformer(batch_of(a), encoder)[-1].data
             hb = encode_transformer(batch_of(b), encoder)[-1].data
-        np.testing.assert_allclose(ha[3:6], hb[3:6], atol=1e-12)
+        assert ha.shape == (3, 8)
+        np.testing.assert_allclose(ha, hb, atol=1e-12)
 
     def test_with_position_embeddings_order_matters(self, encoder):
         a = make_ctx([5, 6, 7], left=[10, 11])
@@ -86,7 +89,8 @@ class TestEncodeTransformer:
         with ad.no_grad():
             ha = encode_transformer(batch_of(a), encoder)[-1].data
             hb = encode_transformer(batch_of(b), encoder)[-1].data
-        assert not np.allclose(ha[3:6], hb[3:6])
+        assert ha.shape == (3, 8)
+        assert not np.allclose(ha, hb)
 
     def test_over_length_input_errors(self, encoder):
         ctx = make_ctx(list(range(5)) * 20)
@@ -108,7 +112,8 @@ class TestEncodeTransformer:
         with ad.no_grad():
             hidden = encode_transformer(batch_of(ctx), encoder)
         assert len(hidden) == encoder.config.layers + 1
-        assert all(h.shape == (4, 8) for h in hidden)
+        assert all(h.shape == (4, 8) for h in hidden[:-1])
+        assert hidden[-1].shape == (2, 8)  # the core rows only
 
 
 def reference_forward(encoder, ids):
@@ -173,16 +178,21 @@ class TestBatchedForward:
         lengths = [c.assembled_length for c in ctxs]
         assert lengths[0] == 3 and lengths[-1] == 64 and len(set(lengths)) == 4
         batch = batch_of(*ctxs)
+        m = batch.core_width
         with ad.no_grad():
             hidden = encode_transformer(batch, enc)
-            core = extract_core_tokens(pool_layers(hidden, strategy), batch).data
-            assert all(h.shape[0] == 4 * 64 for h in hidden)
+            core = pool_layers(extract_core_tokens(hidden, batch, strategy), strategy).data
+            assert all(h.shape[0] == 4 * 64 for h in hidden[:-1])
+            assert hidden[-1].shape[0] == 4 * m
             start = 0
             for b, ctx in enumerate(ctxs):
                 ref = reference_forward(enc, ctx.assembled_ids())
-                for h, r in zip(hidden, ref):
+                for h, r in zip(hidden[:-1], ref[:-1]):
                     assert_close_to(h.data[b * 64:b * 64 + lengths[b]], r.data)
-                ref_core = pool_layers(ref, strategy).data[ctx.shifted_alignment()]
+                aligned = ctx.shifted_alignment()
+                assert_close_to(hidden[-1].data[b * m:b * m + len(aligned)],
+                                ref[-1].data[aligned])
+                ref_core = pool_layers(ref, strategy).data[aligned]
                 assert_close_to(core[start:start + len(ref_core)], ref_core)
                 start += len(ref_core)
         assert start == core.shape[0]
@@ -190,26 +200,39 @@ class TestBatchedForward:
     def test_padding_does_not_reach_real_rows(self, encoder, rng):
         ctxs = mixed_length_batch(rng, 64)
         batch = batch_of(*ctxs)
+        ids = np.asarray(batch.assembled_ids()).reshape(4, 64)
+        queries = batch.query_positions()
+        m = batch.core_width
         with ad.no_grad():
             before = [h.data.copy() for h in encode_transformer(batch, encoder)]
         for b, ctx in enumerate(ctxs):
-            n = ctx.assembled_length
+            n, tokens = ctx.assembled_length, len(ctx.shifted_alignment())
             saved = [encoder.params["tok_emb"].data.copy(),
                      encoder.params["pos_emb"].data.copy()]
             encoder.params["tok_emb"].data[PAD] += rng.normal(size=8) * 10.0
             encoder.params["pos_emb"].data[n:] += rng.normal(size=(64 - n, 8)) * 10.0
+            # the padded query slots of every sentence read other positions
+            moved = queries.copy()
+            for c, other in enumerate(ctxs):
+                spare = m - len(other.shifted_alignment())
+                moved[c, m - spare:] = rng.integers(0, 64, spare)
             with ad.no_grad():
-                after = encode_transformer(batch, encoder)
+                after = encoder.forward(ids, batch.lengths, moved)
             encoder.params["tok_emb"].data, encoder.params["pos_emb"].data = saved
             rows = slice(b * 64, b * 64 + n)
-            for h0, h1 in zip(before, after):
+            for h0, h1 in zip(before[:-1], after[:-1]):
                 np.testing.assert_array_equal(h1.data[rows], h0[rows])
+            core_rows = slice(b * m, b * m + tokens)
+            np.testing.assert_array_equal(after[-1].data[core_rows], before[-1][core_rows])
 
     def test_pad_slots_are_listed_and_counted(self):
         batch = batch_of(make_ctx([5]), make_ctx([5, 6, 7], left=[8]))
         assert batch.width == 6
         assert batch.assembled_ids() == [0, 5, 1, PAD, PAD, PAD, 0, 8, 5, 6, 7, 1]
         assert batch.core_rows() == [1, 8, 9, 10]
+        assert batch.core_width == 3
+        np.testing.assert_array_equal(batch.query_positions(), [[1, 0, 0], [2, 3, 4]])
+        assert batch.core_query_rows() == [0, 3, 4, 5]
 
 
 class TestPoolLayers:
@@ -222,21 +245,25 @@ class TestPoolLayers:
         enc = TransformerEncoder(
             TransformerConfig(layers=1, heads=2, model_dim=8, ff_dim=16,
                               max_positions=32), 30, rng)
+        batch = batch_of(make_ctx([3, 4]))
         with ad.no_grad():
-            hidden = encode_transformer(batch_of(make_ctx([3, 4])), enc)
-            pooled = pool_layers(hidden, "all_layer_mean")
+            core = extract_core_tokens(encode_transformer(batch, enc), batch,
+                                       "all_layer_mean")
+            pooled = pool_layers(core, "all_layer_mean")
         np.testing.assert_allclose(pooled.data,
-                                   (hidden[0].data + hidden[1].data) / 2.0,
+                                   (core[0].data + core[1].data) / 2.0,
                                    atol=1e-12)
 
     def test_last_four_concat_width(self, rng):
         enc = TransformerEncoder(
             TransformerConfig(layers=4, heads=2, model_dim=8, ff_dim=16,
                               max_positions=32), 30, rng)
+        batch = batch_of(make_ctx([3, 4]))
         with ad.no_grad():
-            hidden = encode_transformer(batch_of(make_ctx([3, 4])), enc)
-            pooled = pool_layers(hidden, "last_four_concat")
-        assert pooled.shape == (4, 32)  # 4 * model_dim
+            core = extract_core_tokens(encode_transformer(batch, enc), batch,
+                                       "last_four_concat")
+            pooled = pool_layers(core, "last_four_concat")
+        assert pooled.shape == (2, 32)  # 2 core tokens, 4 * model_dim
 
     def test_strategies_match_direct_arithmetic(self, rng):
         hidden = [Tensor(rng.normal(size=(5, 4))) for _ in range(6)]
@@ -263,28 +290,53 @@ class TestExtractCoreTokens:
     def test_window_zero_single_subtokens(self, rng):
         pooled = Tensor(rng.normal(size=(5, 3)))  # BOS + 3 tokens + EOS
         ctx = make_ctx([10, 11, 12])
-        out = extract_core_tokens(pooled, batch_of(ctx))
+        [out] = extract_core_tokens([pooled], batch_of(ctx), "last_layer")
         np.testing.assert_array_equal(out.data, pooled.data[1:4])
 
     def test_row_count_independent_of_context(self, rng):
         ctx = make_ctx([10, 11, 12], left=[1] * 7, right=[2] * 9)
         pooled = Tensor(rng.normal(size=(ctx.assembled_length, 4)))
-        assert extract_core_tokens(pooled, batch_of(ctx)).shape == (3, 4)
+        [out] = extract_core_tokens([pooled], batch_of(ctx), "last_layer")
+        assert out.shape == (3, 4)
 
     def test_index_bookkeeping_oracle(self, rng):
         # multi-subtoken tokens: alignment [0, 2, 3] within the core
         ctx = make_ctx([4, 5, 6, 7, 8], left=[1, 2], right=[3],
                        firsts=[0, 2, 3], counts=[2, 1, 2])
         pooled = Tensor(rng.normal(size=(ctx.assembled_length, 4)))
-        out = extract_core_tokens(pooled, batch_of(ctx))
+        [out] = extract_core_tokens([pooled], batch_of(ctx), "last_layer")
         offset = 1 + 2  # BOS + left context
         expected_rows = [offset + 0, offset + 2, offset + 3]
         np.testing.assert_array_equal(out.data, pooled.data[expected_rows])
 
+    def test_last_layer_rows_come_from_its_query_slots(self, rng):
+        batch = batch_of(make_ctx([10]), make_ctx([4, 5, 6, 7, 8], left=[1, 2],
+                                                  firsts=[0, 2, 3], counts=[2, 1, 2]))
+        assert (batch.width, batch.core_width) == (9, 3)
+        full = Tensor(rng.normal(size=(2 * 9, 4)))
+        last = Tensor(rng.normal(size=(2 * 3, 4)))
+        [out] = extract_core_tokens([full, last], batch, "last_layer")
+        np.testing.assert_array_equal(out.data, last.data[[0, 3, 4, 5]])
+        first, second = extract_core_tokens([full, last], batch, "all_layer_mean")
+        np.testing.assert_array_equal(first.data, full.data[[1, 12, 14, 15]])
+        np.testing.assert_array_equal(second.data, out.data)
+
+    @pytest.mark.parametrize("strategy,layers", [("last_layer", [4]),
+                                                 ("all_layer_mean", [0, 1, 2, 3, 4]),
+                                                 ("last_four_concat", [1, 2, 3, 4])])
+    def test_gathers_only_the_pooled_layers(self, strategy, layers):
+        batch = batch_of(make_ctx([10, 11]))
+        hidden = [Tensor(np.full((4, 2), float(i))) for i in range(4)]
+        hidden.append(Tensor(np.full((2, 2), 4.0)))  # the last layer's query slots
+        core = extract_core_tokens(hidden, batch, strategy)
+        assert [float(c.data[0, 0]) for c in core] == layers
+        assert all(c.shape == (2, 2) for c in core)
+
     def test_offset_mismatch_errors(self, rng):
         ctx = make_ctx([10, 11])
         with pytest.raises(ValueError, match="assembled"):
-            extract_core_tokens(Tensor(rng.normal(size=(99, 3))), batch_of(ctx))
+            extract_core_tokens([Tensor(rng.normal(size=(99, 3)))], batch_of(ctx),
+                                "last_layer")
 
 
 class TestStaticEmbeddings:
@@ -343,7 +395,8 @@ class TestContextLocality:
                                 SubtokenStream(corpus.documents, vocab),
                                 ContextConfig(window=16, enforce_boundaries=True))
             with ad.no_grad():
-                hidden = encode_transformer(PaddedBatch([ctx], vocab.pad_id), enc)
-                outs.append(extract_core_tokens(pool_layers(hidden, "last_layer"),
-                                                PaddedBatch([ctx], vocab.pad_id)).data)
+                batch = PaddedBatch([ctx], vocab.pad_id)
+                core = extract_core_tokens(encode_transformer(batch, enc), batch,
+                                           "last_layer")
+                outs.append(pool_layers(core, "last_layer").data)
         np.testing.assert_array_equal(outs[0], outs[1])

@@ -130,6 +130,36 @@ def reference_sentence_loss(model, tokens, ctx, gold):
     return softmax_nll(emissions, gold)
 
 
+def assert_batch_matches_reference(model, corpus, picked):
+    """The batched loss of the sentences at `picked`, and every parameter
+    gradient, equal the mean of their reference sentence losses."""
+    sentences = [list(corpus.sentences())[i] for i in picked]
+    tokens = [s.texts for s in sentences]
+    ctxs = [model.contextualize(s, corpus) for s in sentences]
+    gold = [model.gold_ids(s, corpus.scheme) for s in sentences]
+    if len(sentences) > 1:
+        assert len({c.assembled_length for c in ctxs}) == 3  # the batch is padded
+
+    def reference():
+        total = reference_sentence_loss(model, tokens[0], ctxs[0], gold[0])
+        for args in zip(tokens[1:], ctxs[1:], gold[1:]):
+            total = total + reference_sentence_loss(model, *args)
+        return total * (1.0 / len(sentences))
+
+    loss, grads = loss_and_gradients(
+        model, lambda: model.batch_loss(tokens, ctxs, gold))
+    ref_loss, ref_grads = loss_and_gradients(model, reference)
+    assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0)
+    largest = max(np.abs(ref).max() for ref in ref_grads)
+    for name, g, ref in zip(model._named_parameters(), grads, ref_grads):
+        if name.endswith(".wk_b"):
+            # a key bias shifts every score of a query alike, which softmax
+            # ignores: its gradient is zero up to rounding on both paths
+            assert max(np.abs(g).max(), np.abs(ref).max()) < 1e-15 * largest
+        else:
+            assert_close_to(g, ref)
+
+
 def loss_and_gradients(model, loss_fn):
     for p in model.all_parameters():
         p.grad = None
@@ -147,30 +177,22 @@ class TestBatchedLoss:
         model = NerModel(vocab, corpus.label_set, TINY, context=ContextConfig(window=6),
                          head=head, use_word_embeddings=we, word_dim=4,
                          word_tokens=["went", "to", "Group"], seed=0)
-        sentences = [list(corpus.sentences())[i] for i in (0, 1, 5, 9)]
-        tokens = [s.texts for s in sentences]
-        ctxs = [model.contextualize(s, corpus) for s in sentences]
-        gold = [model.gold_ids(s, corpus.scheme) for s in sentences]
-        assert len({c.assembled_length for c in ctxs}) == 3  # the batch is padded
+        assert_batch_matches_reference(model, corpus, (0, 1, 5, 9))
 
-        def reference():
-            total = reference_sentence_loss(model, tokens[0], ctxs[0], gold[0])
-            for args in zip(tokens[1:], ctxs[1:], gold[1:]):
-                total = total + reference_sentence_loss(model, *args)
-            return total * (1.0 / len(sentences))
+    @pytest.mark.parametrize("strategy", ["all_layer_mean", "last_four_concat"])
+    def test_pooled_layers_match_reference(self, setup, strategy):
+        corpus, vocab = setup
+        model = NerModel(vocab, corpus.label_set,
+                         dataclasses.replace(FOUR_LAYERS, dropout=0.0),
+                         context=ContextConfig(window=6), layer_strategy=strategy,
+                         seed=0)
+        assert_batch_matches_reference(model, corpus, (0, 1, 5, 9))
 
-        loss, grads = loss_and_gradients(
-            model, lambda: model.batch_loss(tokens, ctxs, gold))
-        ref_loss, ref_grads = loss_and_gradients(model, reference)
-        assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0)
-        largest = max(np.abs(ref).max() for ref in ref_grads)
-        for name, g, ref in zip(model._named_parameters(), grads, ref_grads):
-            if name.endswith(".wk_b"):
-                # a key bias shifts every score of a query alike, which softmax
-                # ignores: its gradient is zero up to rounding on both paths
-                assert max(np.abs(g).max(), np.abs(ref).max()) < 1e-15 * largest
-            else:
-                assert_close_to(g, ref)
+    def test_embeddings_only_batch_of_one_matches_reference(self, setup):
+        corpus, vocab = setup
+        model = NerModel(vocab, corpus.label_set, dataclasses.replace(TINY, layers=0),
+                         context=ContextConfig(window=6), seed=0)
+        assert_batch_matches_reference(model, corpus, (5,))
 
     @pytest.mark.parametrize("head", ["linear", "crf"])
     def test_padded_batch_passes_finite_differences(self, head):
@@ -250,6 +272,13 @@ class TestCheckpoint:
         path = saved_then_edited(setup, tmp_path,
                                  edit_meta=lambda meta: meta.update(dropout_rate=0.5))
         with pytest.raises(ValueError, match="dropout_rate"):
+            NerModel.load(path)
+
+    @pytest.mark.parametrize("key", ["transformer", "context"])
+    def test_non_object_config_meta_rejected(self, setup, tmp_path, key):
+        path = saved_then_edited(setup, tmp_path,
+                                 edit_meta=lambda meta: meta.update({key: None}))
+        with pytest.raises(ValueError, match=f"{key} must hold an object"):
             NerModel.load(path)
 
     def test_non_finite_parameter_rejected(self, setup, tmp_path):
