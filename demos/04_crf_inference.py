@@ -1,5 +1,9 @@
 """Linear-chain CRF mechanics: forward algorithm, Viterbi, learned transitions.
 
+The sequence ops take a batch of sentences, their emission rows one after
+another, and a `Packing` of the sentence lengths; a single sentence is a
+batch of one.
+
 Run:  python demos/04_crf_inference.py
 """
 
@@ -7,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from docner import CrfParams, crf_nll, viterbi
+from docner import CrfParams, Packing, crf_nll, viterbi
 from docner.autodiff import Tensor, no_grad
 from docner.tagger import crf_log_z, path_score
 
@@ -19,7 +23,7 @@ crf = CrfParams(num_labels=3, rng=rng)
 # The forward algorithm's log partition matches brute-force enumeration
 # over all 3^4 label paths.
 with no_grad():
-    log_z = float(crf_log_z(Tensor(emissions), crf).data)
+    log_z = float(crf_log_z(Tensor(emissions), Packing([4]), crf).data)
 paths = list(itertools.product(range(3), repeat=4))
 scores = np.array([path_score(emissions, list(p), crf) for p in paths])
 print(f"log Z forward algorithm: {log_z:.10f}")
@@ -27,14 +31,14 @@ print(f"log Z enumeration      : {float(np.logaddexp.reduce(scores)):.10f}")
 print(f"sum of path probabilities: {np.exp(scores - log_z).sum():.10f}")
 
 # Viterbi returns the argmax path; enumeration agrees.
-best, best_score = viterbi(emissions, crf)
+[best], [best_score] = viterbi(emissions, Packing([4]), crf)
 brute = paths[int(scores.argmax())]
 print(f"\nviterbi path {[labels[i] for i in best]} score {best_score:.4f}")
 print(f"brute  path {[labels[i] for i in brute]} score {scores.max():.4f}")
 
 # The negative log-likelihood of the gold path is log Z - score(gold).
 gold = [1, 2, 0, 1]  # B-X I-X O B-X
-loss = crf_nll(Tensor(emissions), gold, crf)
+loss = crf_nll(Tensor(emissions), [gold], crf)
 print(f"\nNLL of gold {[labels[i] for i in gold]}: {float(loss.data):.4f} "
       f"(= {log_z:.4f} - {path_score(emissions, gold, crf):.4f})")
 
@@ -50,7 +54,14 @@ constrained = CrfParams(num_labels=5, rng=np.random.default_rng(1))
 constrained.constrain(bioes)
 tempting = np.zeros((4, 5))
 tempting[:, 2] = 5.0  # try hard to emit I-X everywhere
-decoded, _ = viterbi(tempting, constrained)
+[decoded], _ = viterbi(tempting, Packing([4]), constrained)
 print(f"\nwith constraints, an I-X flood decodes to "
       f"{[bioes[i] for i in decoded]}")
 print("the span opens with B-X and closes with E-X; bare I-X runs are masked")
+
+# A batch steps its sentences together, longest first, and returns each
+# sentence's path in input order: the same paths as decoding one at a time.
+batch = np.concatenate([tempting[:2], tempting, tempting[:1]])
+paths, _ = viterbi(batch, Packing([2, 4, 1]), constrained)
+alone = [viterbi(tempting[:n], Packing([n]), constrained)[0][0] for n in (2, 4, 1)]
+print(f"\nbatch of lengths 2, 4, 1 decodes as one at a time: {paths == alone}")

@@ -15,8 +15,8 @@ from .evaluation import (EvalReport, RunAggregate, aggregate_runs, per_type_delt
                          score)
 from .experiments import ExperimentConfig, run_experiment, sweep_context
 from .model import NerModel, predict_corpus
-from .tagger import (BiLstmParams, CrfParams, bilstm_forward, crf_nll, greedy_decode,
-                     linear_head, viterbi)
+from .tagger import (BiLstmParams, CrfParams, Packing, bilstm_forward, crf_nll,
+                     greedy_decode, linear_head, viterbi)
 from .tokenizer import SubwordEncoding, SubwordVocab, encode, train_vocab
 from .training import (FeatureBasedConfig, FineTuneConfig, TrainLog, one_cycle_lr,
                        train_feature_based, train_finetune)
@@ -32,8 +32,8 @@ __all__ = [
     "EvalReport", "RunAggregate", "aggregate_runs", "per_type_delta", "score",
     "ExperimentConfig", "run_experiment", "sweep_context",
     "NerModel", "predict_corpus",
-    "BiLstmParams", "CrfParams", "bilstm_forward", "crf_nll", "greedy_decode",
-    "linear_head", "viterbi",
+    "BiLstmParams", "CrfParams", "Packing", "bilstm_forward", "crf_nll",
+    "greedy_decode", "linear_head", "viterbi",
     "SubwordEncoding", "SubwordVocab", "encode", "train_vocab",
     "FeatureBasedConfig", "FineTuneConfig", "TrainLog", "one_cycle_lr",
     "train_feature_based", "train_finetune",

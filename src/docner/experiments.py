@@ -20,7 +20,7 @@ from .context import ContextConfig
 from .corpus import Corpus, format_conll, parse_conll
 from .encoder import TransformerConfig
 from .evaluation import EvalReport, RunAggregate, aggregate_runs, round2, score
-from .model import NerModel, predict_corpus
+from .model import NerModel, config_block, predict_corpus
 from .tokenizer import SubwordVocab, train_vocab
 from .training import (FeatureBasedConfig, FineTuneConfig, train_feature_based,
                        train_finetune)
@@ -61,11 +61,8 @@ class ExperimentConfig:
                          ("transformer", TransformerConfig),
                          ("finetune", FineTuneConfig),
                          ("feature", FeatureBasedConfig)):
-            if key in raw and isinstance(raw[key], dict):
-                unknown = set(raw[key]) - {f.name for f in dataclasses.fields(sub)}
-                if unknown:
-                    raise ValueError(f"unknown keys in {key}: {sorted(unknown)}")
-                raw[key] = sub(**raw[key])
+            if key in raw:
+                raw[key] = config_block(key, sub, raw[key])
         unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import inspect
 import io
+import itertools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .corpus import (Corpus, Sentence, TagScheme, convert_scheme, spans_from_tag
 from .encoder import (PaddedBatch, StaticEmbeddingTable, TransformerConfig,
                       TransformerEncoder, check_pool_strategy, concat_word_embeddings,
                       encode_transformer, extract_core_tokens, pool_layers)
-from .tagger import (BiLstmParams, CrfParams, bilstm_forward, crf_nll,
+from .tagger import (BiLstmParams, CrfParams, Packing, bilstm_forward, crf_nll,
                      greedy_decode, linear_head, softmax_nll, viterbi)
 from .tokenizer import SubwordVocab
 
@@ -35,10 +36,10 @@ MODES = ("finetune", "feature")
 HEADS = ("linear", "crf")
 DEFAULT_STRATEGY = {"finetune": "last_layer", "feature": "all_layer_mean"}
 FROZEN_IN_FEATURE_MODE = ("encoder.", "word_table.")
-# Padded encoder rows per graph-free batch (predict_corpus, frozen features).
-# Larger batches amortise more per-op overhead but raise peak memory: in
-# trials on the short-input benchmark, 1024 rows added 15% to peak RSS and
-# 256 rows 2%.
+# Padded rows per graph-free batch: encoder rows for frozen features,
+# tagger steps x sentences for decoding. Larger batches amortise more per-op
+# overhead but raise peak memory: in trials on the short-input benchmark,
+# 1024 encoder rows added 15% to peak RSS and 256 rows 2%.
 ENCODE_ROW_BUDGET = 256
 
 
@@ -173,15 +174,9 @@ class NerModel:
         Sentences are encoded longest first, in batches of at most
         ENCODE_ROW_BUDGET padded rows; the result is in input order.
         """
-        order = sorted(range(len(ctxs)), key=lambda i: -ctxs[i].assembled_length)
         features: list[np.ndarray] = [np.empty(0)] * len(ctxs)
-        start = 0
         with ad.no_grad():
-            while start < len(order):
-                # longest first, so a batch's first sentence sets its width
-                size = max(1, ENCODE_ROW_BUDGET // ctxs[order[start]].assembled_length)
-                picked = order[start:start + size]
-                start += size
+            for picked in _longest_first([c.assembled_length for c in ctxs]):
                 rows = self.token_features([tokens[i] for i in picked],
                                            [ctxs[i] for i in picked]).data
                 bounds = np.cumsum([len(tokens[i]) for i in picked])[:-1]
@@ -189,54 +184,81 @@ class NerModel:
                     features[i] = part
         return features
 
-    def emissions_from_features(self, features: list[Tensor]) -> Tensor:
-        """Label scores of the core tokens of a batch, from its feature rows in
-        blocks, block after block; with a BiLSTM each block is one sentence."""
+    def emissions_from_features(self, features: Tensor,
+                                packing: Packing | None) -> Tensor:
+        """Label scores of a batch's core tokens from its flat feature rows,
+        sentence after sentence; a BiLSTM steps the sentences together in
+        `packing`, which only it reads."""
         if self.bilstm is not None:
-            features = [bilstm_forward(f, self.bilstm) for f in features]
-        joined = ad.concat(features) if len(features) > 1 else features[0]
-        return linear_head(joined, self.head_w, self.head_b)
+            features = bilstm_forward(features, packing, self.bilstm)
+        return linear_head(features, self.head_w, self.head_b)
 
     def batch_loss(self, tokens: list[list[str]], ctxs: list[ContextualizedSentence],
                    gold_ids: list[list[int]], rng: np.random.Generator | None = None,
                    frozen_features: list[np.ndarray] | None = None) -> Tensor:
-        """Mean sentence loss of a minibatch, its encoder run once over the batch.
+        """Mean sentence loss of a minibatch, its encoder, BiLSTM and CRF each
+        run once over the batch.
 
         The linear head's loss is one softmax cross-entropy over every core
-        token of the batch; the CRF scores each sentence on its own.
+        token of the batch, the CRF's one batched negative log-likelihood.
         """
         if self.mode == "feature":
             if frozen_features is None:
                 frozen_features = self.frozen_features(tokens, ctxs)
-            features = [Tensor(f) for f in frozen_features]
+            features = Tensor(np.concatenate(frozen_features))
         else:
-            features = [self.token_features(tokens, ctxs, train=True, rng=rng)]
-        emissions = self.emissions_from_features(features)
+            features = self.token_features(tokens, ctxs, train=True, rng=rng)
+        packing = (None if self.bilstm is None
+                   else Packing([len(gold) for gold in gold_ids]))
+        emissions = self.emissions_from_features(features, packing)
         if self.crf is None:
             total = softmax_nll(emissions, [i for gold in gold_ids for i in gold])
         else:
-            total, start = None, 0
-            for gold in gold_ids:
-                loss = crf_nll(ad.narrow(emissions, 0, start, len(gold)), gold, self.crf)
-                total = loss if total is None else total + loss
-                start += len(gold)
+            total = crf_nll(emissions, gold_ids, self.crf)
         loss = total * (1.0 / len(gold_ids))
         if not np.isfinite(loss.data):
             raise FloatingPointError("non-finite training loss")
         return loss
 
+    def tag_features(self, features: list[np.ndarray],
+                     scheme: TagScheme = TagScheme.BIOES) -> list[list[str]]:
+        """Predicted tags of sentences from their feature rows, re-encoded in
+        `scheme` (repairs silently).
+
+        Sentences are decoded longest first, in batches of at most
+        ENCODE_ROW_BUDGET padded rows: the CRF runs Viterbi over a whole
+        batch, the linear head one argmax over its rows. The result is in
+        input order.
+        """
+        tags: list[list[str]] = [[] for _ in features]
+        sizes = [len(f) for f in features]
+        for picked in _longest_first(sizes):
+            lengths = [sizes[i] for i in picked]
+            packing = (None if self.bilstm is None and self.crf is None
+                       else Packing(lengths))
+            with ad.no_grad():
+                scores = self.emissions_from_features(
+                    Tensor(np.concatenate([features[i] for i in picked])), packing).data
+            if self.crf is not None:
+                ids = viterbi(scores, packing, self.crf)[0]
+            else:
+                flat = greedy_decode(scores)
+                ids = [flat[end - n:end]
+                       for n, end in zip(lengths, itertools.accumulate(lengths))]
+            for i, sentence_ids in zip(picked, ids):
+                labels = [self.labels[j] for j in sentence_ids]
+                tags[i] = tags_from_spans(spans_from_tags(labels), len(labels), scheme)
+        return tags
+
     def decode_tags(self, tokens: list[str], ctx: ContextualizedSentence,
                     scheme: TagScheme = TagScheme.BIOES,
                     frozen_features: np.ndarray | None = None) -> list[str]:
-        """Predicted tags re-encoded in `scheme` (repairs silently)."""
-        with ad.no_grad():
-            features = (Tensor(frozen_features) if frozen_features is not None
-                        else self.token_features([tokens], [ctx]))
-            scores = self.emissions_from_features([features]).data
-            ids = (viterbi(scores, self.crf)[0] if self.crf is not None
-                   else greedy_decode(scores))
-        tags = [self.labels[i] for i in ids]
-        return tags_from_spans(spans_from_tags(tags), len(tags), scheme)
+        """Predicted tags of one sentence re-encoded in `scheme` (repairs
+        silently): `tag_features` on a batch of one."""
+        if frozen_features is None:
+            with ad.no_grad():
+                frozen_features = self.token_features([tokens], [ctx]).data
+        return self.tag_features([frozen_features], scheme)[0]
 
     def gold_ids(self, sentence: Sentence, scheme: TagScheme) -> list[int]:
         tags = convert_scheme(sentence.gold_tags, scheme, TagScheme.BIOES)
@@ -270,15 +292,14 @@ class NerModel:
             unknown = sorted(set(settings) - set(inspect.signature(cls).parameters))
             if unknown:
                 raise ValueError(f"unknown checkpoint meta keys: {', '.join(unknown)}")
-            for key in ("transformer", "context"):
-                if not isinstance(settings.get(key), dict):
-                    raise ValueError(f"checkpoint meta key {key} must hold an object, "
-                                     f"got {settings.get(key)!r}")
-            # earlier versions also saved the embedding rows, always len(vocab)
-            settings["transformer"].pop("vocab_size", None)
-            settings.update(vocab=SubwordVocab.loads(settings["vocab"]),
-                            transformer=TransformerConfig(**settings["transformer"]),
-                            context=ContextConfig(**settings["context"]))
+            if isinstance(settings.get("transformer"), dict):
+                # earlier versions also saved the embedding rows, always len(vocab)
+                settings["transformer"].pop("vocab_size", None)
+            settings.update(
+                vocab=SubwordVocab.loads(settings["vocab"]),
+                **{key: config_block(f"checkpoint meta {key}", sub, settings.get(key))
+                   for key, sub in (("transformer", TransformerConfig),
+                                    ("context", ContextConfig))})
             model = cls(**settings)
             named = model._named_parameters()
             saved = {k[len("param/"):] for k in data.files if k.startswith("param/")}
@@ -297,20 +318,41 @@ class NerModel:
         return model
 
 
+def config_block(key: str, cls, value):
+    """The dataclass `cls` built from the JSON object `value` stored under
+    `key`; a value that is not an object, or that holds a key `cls` has no
+    field for, is a ValueError naming `key`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must hold an object, got {value!r}")
+    unknown = sorted(set(value) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown keys in {key}: {unknown}")
+    return cls(**value)
+
+
+def _longest_first(lengths: list[int]):
+    """Indices of `lengths`, longest first, in batches of at most
+    ENCODE_ROW_BUDGET padded rows: a batch's first length times its size."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    start = 0
+    while start < len(order):
+        size = max(1, ENCODE_ROW_BUDGET // lengths[order[start]])
+        yield order[start:start + size]
+        start += size
+
+
 def predict_corpus(model: NerModel, corpus: Corpus,
                    context: ContextConfig | None = None) -> Corpus:
     """Tag every sentence; returns a corpus copy with predictions attached.
 
     The whole corpus is contextualized, encoded without a graph in
-    length-sorted batches (`NerModel.frozen_features`), then decoded
-    sentence by sentence in corpus order. Predictions are converted from
-    the model's internal BIOES scheme back to the corpus scheme.
+    length-sorted batches (`NerModel.frozen_features`), then decoded in
+    length-sorted batches (`NerModel.tag_features`). Predictions are
+    converted from the model's internal BIOES scheme back to the corpus
+    scheme.
     """
     sentences = list(corpus.sentences())
     texts = [sentence.texts for sentence in sentences]
     ctxs = [model.contextualize(sentence, corpus, context) for sentence in sentences]
     features = model.frozen_features(texts, ctxs)
-    return with_predictions(corpus, [
-        model.decode_tags(tokens, ctx, corpus.scheme, frozen_features=f)
-        for tokens, ctx, f in zip(texts, ctxs, features)])
-
+    return with_predictions(corpus, model.tag_features(features, corpus.scheme))

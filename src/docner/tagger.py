@@ -1,18 +1,35 @@
 """Tag prediction heads: linear, linear-chain CRF, and a BiLSTM feature layer.
 
-Emission matrices are [tokens x labels]. The CRF keeps a learned transition
-matrix over labels plus virtual START/STOP states. Two sequence ops are
-single graph nodes with a hand-written backward: the CRF log partition
-(forward algorithm; its gradient is the label marginals from the
-forward-backward algorithm) and each LSTM direction (backpropagation
-through time). The gold-path score, the linear head and the joins around
-them are ordinary autodiff ops on the same tape.
+Emission matrices are [tokens x labels]; a batch holds its sentences' rows
+one after another, in input order. The CRF keeps a learned transition
+matrix over labels plus virtual START/STOP states.
+
+The sequence ops step all sentences of a batch together, in the packed
+layout of a `Packing` built once per batch from the sentence lengths.
+Sentences are sorted longest first (stable), so the sentences still
+running at step t are the first k_t of that order. Packed rows are time
+major: step 0's k_0 rows, then step 1's k_1 rows, and so on, which is the
+[n_max, B] grid of (step, sentence) without its padding. Each op gathers
+its inputs into that layout once, steps through contiguous slices of it,
+and scatters its results back to the flat rows; no row of a running
+sentence ever reads a row of one that has ended, so there are no masks.
+A batch of one sentence is the per-sentence arithmetic, bit for bit.
+
+The CRF log partition (forward algorithm; its gradient is the label
+marginals from the forward-backward algorithm) and the BiLSTM (both
+directions stepped together; backpropagation through time) are one graph
+node per batch with a hand-written backward, and Viterbi decodes a batch
+in one pass. The gold-path score and the linear head are ordinary autodiff
+ops on the same tape.
 
 Losses take emission Tensors and record a graph; the decoders
 (`greedy_decode`, `viterbi`, `path_score`) take plain score arrays.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 from scipy.special import expit
@@ -84,100 +101,198 @@ def softmax_nll(emissions: Tensor, gold: list[int]) -> Tensor:
     return ad.tsum(lse) - ad.tsum(picked)
 
 
-def crf_log_z(emissions: Tensor, crf: CrfParams) -> Tensor:
-    """Log partition over all label paths (forward algorithm, log space).
+class Packing:
+    """The sentences of one batch, stepped together longest first.
+
+    `lengths` are the sentences' token counts in input order; each one's
+    rows are consecutive in the flat [T, ...] inputs. `order` lists the
+    input indices longest first (ties keep input order) and `sorted_lengths`
+    their lengths. Step t runs the first bounds[t + 1] - bounds[t] sentences
+    of that order, at packed rows bounds[t]:bounds[t + 1].
+
+    For every packed row, `forward` holds the flat row it reads going
+    forward and `backward` the one it reads going backward, where each
+    sentence starts at its own last token. `rank` holds the place in `order`
+    of each packed row's sentence, and `previous` the packed row of the same
+    sentence one step earlier, for each packed row after step 0. `last[r]`
+    is the packed row of the last step of sentence `order[r]`.
+    """
+
+    def __init__(self, lengths):
+        lengths = [int(n) for n in lengths]
+        if not lengths or min(lengths) < 1:
+            raise ValueError("a batch needs at least one sentence, and every "
+                             "sentence at least one token")
+        self.order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+        self.sorted_lengths = [lengths[i] for i in self.order]
+        lasts = [end - 1 for end in itertools.accumulate(lengths)]
+        lasts = [lasts[i] for i in self.order]
+        firsts = [last + 1 - n for last, n in zip(lasts, self.sorted_lengths)]
+        # sentences running at each step: all of them until the shortest
+        # ends, then one fewer each time the next shortest ends
+        sizes = [len(lengths)] * self.sorted_lengths[-1]
+        for k in range(len(lengths) - 1, 0, -1):
+            sizes += [k] * (self.sorted_lengths[k - 1] - self.sorted_lengths[k])
+        self.bounds = [0, *itertools.accumulate(sizes)]
+        self.forward = np.array([first + t for t, k in enumerate(sizes)
+                                 for first in firsts[:k]], dtype=np.intp)
+        self.backward = np.array([last - t for t, k in enumerate(sizes)
+                                  for last in lasts[:k]], dtype=np.intp)
+
+    @functools.cached_property
+    def _sizes(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    @functools.cached_property
+    def rank(self) -> np.ndarray:
+        return np.arange(self.rows) - np.repeat(self.bounds[:-1], self._sizes)
+
+    @functools.cached_property
+    def previous(self) -> np.ndarray:
+        return (np.arange(len(self.order), self.rows)
+                - np.repeat(self._sizes[:-1], self._sizes[1:]))
+
+    @functools.cached_property
+    def last(self) -> np.ndarray:
+        return np.array([self.bounds[n - 1] + r
+                         for r, n in enumerate(self.sorted_lengths)], dtype=np.intp)
+
+    @property
+    def rows(self) -> int:
+        return self.bounds[-1]
+
+
+def _check_rows(scores: np.ndarray, packing: Packing) -> None:
+    if scores.shape[0] != packing.rows:
+        raise ValueError(f"{scores.shape[0]} rows do not match the batch's "
+                         f"{packing.rows} tokens")
+
+
+def crf_log_z(emissions: Tensor, packing: Packing, crf: CrfParams) -> Tensor:
+    """Summed log partition of a batch's sentences over all their label
+    paths (forward algorithm, log space).
 
     One graph node over (emissions, transitions). Its backward runs the beta
     recursion and writes the label marginals: unary ones into the emission
     gradient, pairwise ones into transitions[:L, :L], first-token ones into
     row START and last-token ones into column STOP.
     """
-    n, num_labels = emissions.shape
-    if n == 0:
-        raise ValueError("forward algorithm needs a non-empty sequence")
+    _check_rows(emissions.data, packing)
+    num_labels = emissions.shape[1]
     if num_labels != crf.num_labels:
         raise ValueError("emission width does not match the CRF label count")
-    e = emissions.data
+    e = emissions.data[packing.forward]  # packed
     trans = crf.transitions.data
     core = trans[:num_labels, :num_labels]
     stop = trans[:num_labels, crf.stop]
+    bounds, last = packing.bounds, packing.last
+    first = bounds[1]  # rows of step 0: one per sentence
 
-    alphas = np.empty((n, num_labels))
-    alphas[0] = trans[crf.start, :num_labels] + e[0]
-    for t in range(1, n):
-        scores = alphas[t - 1][:, None] + core  # [from, to]
-        m = scores.max(axis=0)
-        alphas[t] = m + np.log(np.exp(scores - m).sum(axis=0)) + e[t]
-    final = alphas[-1] + stop
-    m = final.max()
-    log_z = m + np.log(np.exp(final - m).sum())
+    alphas = np.empty_like(e)
+    alphas[:first] = trans[crf.start, :num_labels] + e[:first]
+    for t in range(1, len(bounds) - 1):
+        a, z = bounds[t], bounds[t + 1]
+        before = bounds[t - 1]
+        scores = alphas[before:before + z - a, :, None] + core  # [sentence, from, to]
+        m = scores.max(axis=1)
+        alphas[a:z] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1)) + e[a:z]
+    final = alphas[last] + stop
+    m = final.max(axis=1)
+    log_z = m + np.log(np.exp(final - m[:, None]).sum(axis=1))  # per sentence
 
     def back(g):
-        betas = np.empty((n, num_labels))
-        betas[-1] = stop
-        ahead = np.empty((n - 1, num_labels))  # e[t + 1] + betas[t + 1]
-        for t in range(n - 2, -1, -1):
-            ahead[t] = e[t + 1] + betas[t + 1]
-            scores = core + ahead[t]  # [from, to]
-            m = scores.max(axis=1)
-            betas[t] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
-        unary = np.exp(alphas + betas - log_z)
+        betas = np.empty_like(e)
+        betas[last] = stop
+        for t in range(len(bounds) - 3, -1, -1):
+            a, z = bounds[t + 1], bounds[t + 2]
+            ahead = e[a:z] + betas[a:z]
+            scores = core + ahead[:, None]  # [sentence, from, to]
+            m = scores.max(axis=2)
+            betas[bounds[t]:bounds[t] + z - a] = \
+                m + np.log(np.exp(scores - m[:, :, None]).sum(axis=2))
+        row_log_z = log_z[packing.rank][:, None]
+        unary = np.exp(alphas + betas - row_log_z)
+        ahead = e[first:] + betas[first:]
         d_trans = np.zeros_like(trans)
         d_trans[:num_labels, :num_labels] = np.exp(
-            alphas[:-1, :, None] + core + ahead[:, None, :] - log_z).sum(axis=0)
-        d_trans[crf.start, :num_labels] = unary[0]
-        d_trans[:num_labels, crf.stop] = unary[-1]
-        return g * unary, g * d_trans
+            alphas[packing.previous][:, :, None] + core + ahead[:, None, :]
+            - row_log_z[first:, :, None]).sum(axis=0)
+        d_trans[crf.start, :num_labels] = unary[:first].sum(axis=0)
+        d_trans[:num_labels, crf.stop] = unary[last].sum(axis=0)
+        d_emissions = np.empty_like(e)
+        d_emissions[packing.forward] = g * unary
+        return d_emissions, g * d_trans
 
-    return Tensor(log_z, (emissions, crf.transitions), back)
+    return Tensor(log_z.sum(), (emissions, crf.transitions), back)
 
 
-def crf_gold_score(emissions: Tensor, gold, crf: CrfParams) -> Tensor:
-    """Unnormalized score of one path: emissions plus START->...->STOP transitions."""
+def crf_gold_score(emissions: Tensor, golds, crf: CrfParams) -> Tensor:
+    """Summed unnormalized score of each sentence's path in `golds`:
+    emissions plus START->...->STOP transitions."""
     n, num_labels = emissions.shape
-    gold = _check_gold(gold, n, num_labels)
-    rows = np.concatenate([[crf.start], gold])
-    cols = np.concatenate([gold, [crf.stop]])
+    lengths = [len(gold) for gold in golds]
+    gold = _check_gold([i for path in golds for i in path], n, num_labels)
+    ends = np.cumsum(lengths)
+    rows = np.insert(gold, ends - lengths, crf.start)
+    cols = np.insert(gold, ends, crf.stop)
     return ad.tsum(ad.take_at(emissions, np.arange(n), gold)) \
         + ad.tsum(ad.take_at(crf.transitions, rows, cols))
 
 
-def crf_nll(emissions: Tensor, gold: list[int], crf: CrfParams) -> Tensor:
-    """CRF negative log-likelihood: log Z - score(gold path)."""
-    return crf_log_z(emissions, crf) - crf_gold_score(emissions, gold, crf)
+def crf_nll(emissions: Tensor, golds: list[list[int]], crf: CrfParams) -> Tensor:
+    """Summed CRF negative log-likelihood of a batch: log Z - score(gold
+    path) of each sentence, the rows of sentence i holding `golds[i]`."""
+    packing = Packing([len(gold) for gold in golds])
+    return crf_log_z(emissions, packing, crf) - crf_gold_score(emissions, golds, crf)
 
 
 def path_score(scores: np.ndarray, path: list[int], crf: CrfParams) -> float:
     """Plain-float path score for oracles and decoding checks."""
     with ad.no_grad():
-        return float(crf_gold_score(Tensor(scores), path, crf).data)
+        return float(crf_gold_score(Tensor(scores), [path], crf).data)
 
 
-def viterbi(scores: np.ndarray, crf: CrfParams) -> tuple[list[int], float]:
-    """Highest-scoring label path and its score.
+def viterbi(scores: np.ndarray, packing: Packing,
+            crf: CrfParams) -> tuple[list[list[int]], list[float]]:
+    """Each sentence's highest-scoring label path and its score, in input order.
 
     Ties break toward the lowest label index at every backtracking step.
     """
-    n, num_labels = scores.shape
-    if n == 0:
-        raise ValueError("cannot decode an empty emission matrix")
+    _check_rows(scores, packing)
+    num_labels = scores.shape[1]
     trans = crf.transitions.data
-    core = trans[:num_labels, :num_labels]
+    into = trans[:num_labels, :num_labels].T.copy()  # [to, from], contiguous
+    s = scores[packing.forward]  # packed
+    bounds = packing.bounds
 
-    delta = trans[crf.start, :num_labels] + scores[0]
-    backptr = np.empty((n, num_labels), dtype=np.intp)
-    for t in range(1, n):
-        cand = delta[:, None] + core  # [from, to]
-        backptr[t] = cand.argmax(axis=0)
-        delta = cand.max(axis=0) + scores[t]
-    final = delta + trans[:num_labels, crf.stop]
-    last = int(final.argmax())
-    best = [last]
-    for t in range(n - 1, 0, -1):
-        last = int(backptr[t, last])
-        best.append(last)
-    best.reverse()
-    return best, float(final.max())
+    delta = trans[crf.start, :num_labels] + s[:bounds[1]]
+    ended = []  # deltas of sentences that ended, in the order they ended
+    backptr = np.empty(s.shape, dtype=np.intp)
+    for a, z in zip(bounds[1:-1], bounds[2:]):
+        if z - a < len(delta):  # the shortest running sentences ended
+            ended.append(delta[z - a:])
+            delta = delta[:z - a]
+        # [sentence, to, from]: max and argmax run along contiguous rows
+        cand = delta[:, None, :] + into
+        backptr[a:z] = cand.argmax(axis=2)
+        delta = cand.max(axis=2) + s[a:z]
+    final = (np.concatenate([delta] + ended[::-1]) if ended else delta) \
+        + trans[:num_labels, crf.stop]
+
+    pointers = backptr.tolist()
+    paths: list[list[int]] = [[] for _ in packing.order]
+    best = [0.0] * len(paths)
+    for r, (i, n, last, row) in enumerate(zip(packing.order, packing.sorted_lengths,
+                                              final.argmax(axis=1).tolist(),
+                                              final.tolist())):
+        best[i] = row[last]
+        path = paths[i]
+        path.append(last)
+        for t in range(n - 1, 0, -1):
+            last = pointers[bounds[t] + r][last]
+            path.append(last)
+        path.reverse()
+    return paths, best
 
 
 def _check_gold(gold, n: int, num_labels: int) -> np.ndarray:
@@ -217,71 +332,93 @@ class BiLstmParams:
         return list(self.params.values())
 
 
-def _lstm_direction(features: Tensor, w: Tensor, u: Tensor, b: Tensor,
-                    hidden: int, order: range) -> Tensor:
-    """One LSTM direction from zero states, stepping through `order`.
+def bilstm_forward(features: Tensor, packing: Packing, params: BiLstmParams) -> Tensor:
+    """Both LSTM directions from zero states over every sentence of a batch;
+    a token's output row is its forward then its backward hidden state.
 
-    A single graph node over (features @ w, u, b) whose backward is
-    backpropagation through time; row t of the output is the hidden state
-    after step t. Under no_grad the node drops its backward and the
-    activations it stored with it.
+    The forward direction reads the packed rows `packing.forward`, the
+    backward one `packing.backward`; both step together, stacked on a
+    leading axis of 2, since step t runs the same sentences in each. A
+    single graph node over (features @ w, u, b) of both directions whose
+    backward is backpropagation through time. Under no_grad the node drops
+    its backward and the activations it stored with it.
     """
-    pre_all = features @ w  # input contributions, computed in one matmul
-    n = pre_all.shape[0]
-    x, u_data, b_data = pre_all.data, u.data, b.data
-    h = np.zeros((1, hidden))
-    c = np.zeros((1, hidden))
-    gates = np.empty((n, 4 * hidden))  # activations, gate order (i, f, g, o)
-    cells = np.empty((n, hidden))
-    out = np.empty((n, hidden))
+    p, hidden = params.params, params.hidden
+    pre_all = [features @ p[f"{d}.w"] for d in ("fw", "bw")]  # one matmul each
+    _check_rows(pre_all[0].data, packing)
+    rows = (packing.forward, packing.backward)
+    x = np.empty((2, packing.rows, 4 * hidden))  # [direction, packed row, 4H]
+    for pre, r, packed in zip(pre_all, rows, x):
+        pre.data.take(r, axis=0, out=packed)
+    # one matmul per direction and step: stacking the recurrent weights would
+    # copy [2, H, 4H] per call, which costs a short sentence more
+    u_fw, u_bw = p["fw.u"].data, p["bw.u"].data
+    b_data = np.array([p["fw.b"].data[None], p["bw.b"].data[None]])
+    bounds, size = packing.bounds, packing.rows
+    h = np.zeros((2, bounds[1], hidden))
+    c = np.zeros((2, bounds[1], hidden))
+    hu = np.empty((2, bounds[1], 4 * hidden))
+    gates = np.empty((2, size, 4 * hidden))  # activations, gate order (i, f, g, o)
+    cells = np.empty((2, size, hidden))
+    out = np.empty((2, size, hidden))
+    by_gate = gates.reshape(2, size, 4, hidden)
     cell_gate = slice(2 * hidden, 3 * hidden)
-    for t in order:
-        pre = x[t:t + 1] + h @ u_data + b_data
-        act = expit(pre)
-        act[:, cell_gate] = np.tanh(pre[:, cell_gate])
-        i, f, g, o = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        gates[t], cells[t], out[t] = act, c, h
+    for a, z in zip(bounds[:-1], bounds[1:]):
+        if z - a < h.shape[1]:  # the shortest running sentences ended
+            h, c, hu = h[:, :z - a], c[:, :z - a], hu[:, :z - a]
+        np.matmul(h[0], u_fw, out=hu[0])
+        np.matmul(h[1], u_bw, out=hu[1])
+        pre = x[:, a:z] + hu + b_data
+        act = expit(pre, out=gates[:, a:z])
+        np.tanh(pre[..., cell_gate], out=act[..., cell_gate])
+        i, f, g, o = by_gate[:, a:z].transpose(2, 0, 1, 3)
+        c = np.add(f * c, i * g, out=cells[:, a:z])
+        h = np.multiply(o, np.tanh(c), out=out[:, a:z])
+    flat_out = np.empty((size, 2 * hidden))
+    flat_out[rows[0], :hidden] = out[0]
+    flat_out[rows[1], hidden:] = out[1]
 
-    def back(d_out):
+    def back(d_flat):
+        first = bounds[1]
         h_prev = np.zeros_like(out)
         c_prev = np.zeros_like(cells)
-        h_prev[order[1:]] = out[order[:-1]]
-        c_prev[order[1:]] = cells[order[:-1]]
-        i, f, g, o = (gates[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        h_prev[:, first:] = out[:, packing.previous]
+        c_prev[:, first:] = cells[:, packing.previous]
+        i, f, g, o = by_gate.transpose(2, 0, 1, 3)
         tanh_c = np.tanh(cells)
         # d pre = d act * act'(pre): the i, f, g columns scale with d c,
         # the o columns with d h
         by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
-                          i * (1.0 - g * g)], axis=1)  # [n, 3, H]
+                          i * (1.0 - g * g)], axis=2)  # [2, rows, 3, H]
         by_dh = tanh_c * o * (1.0 - o)
         dc_by_dh = o * (1.0 - tanh_c * tanh_c)
-        d_pre = np.empty((n, 4 * hidden))
-        u_t = u_data.T
-        dh_rec = np.zeros(hidden)
-        dc = np.zeros(hidden)
-        f_next = np.zeros(hidden)
-        for t in reversed(order):
-            dh = d_out[t] + dh_rec
-            dc = dc * f_next + dh * dc_by_dh[t]
-            d_pre[t, :3 * hidden] = (by_dc[t] * dc).reshape(-1)
-            d_pre[t, 3 * hidden:] = dh * by_dh[t]
-            dh_rec = d_pre[t] @ u_t
-            f_next = f[t]
-        return d_pre, h_prev.T @ d_pre, d_pre.sum(axis=0)
+        d_out = np.array([d_flat[rows[0], :hidden], d_flat[rows[1], hidden:]])
+        d_pre = np.empty_like(gates)
+        d_by_gate = d_pre.reshape(by_gate.shape)
+        dh_rec, dc, f_next = (np.zeros((2, bounds[-1] - bounds[-2], hidden))
+                              for _ in range(3))
+        for a, z in zip(reversed(bounds[:-1]), reversed(bounds[1:])):
+            if z - a > dc.shape[1]:  # sentences whose last step this is join
+                joining = np.zeros((2, z - a - dc.shape[1], hidden))
+                dh_rec, dc, f_next = (np.concatenate([v, joining], axis=1)
+                                      for v in (dh_rec, dc, f_next))
+            dh = d_out[:, a:z] + dh_rec
+            dc = dc * f_next + dh * dc_by_dh[:, a:z]
+            np.multiply(by_dc[:, a:z], dc[:, :, None], out=d_by_gate[:, a:z, :3])
+            np.multiply(dh, by_dh[:, a:z], out=d_by_gate[:, a:z, 3])
+            dh_rec = np.empty_like(dc)
+            np.matmul(d_pre[0, a:z], u_fw.T, out=dh_rec[0])
+            np.matmul(d_pre[1, a:z], u_bw.T, out=dh_rec[1])
+            f_next = f[:, a:z]
+        grads = []
+        for d in range(2):
+            # back to token order, so the weight gradients sum tokens in that order
+            d_pre_flat = np.empty_like(d_pre[d])
+            d_pre_flat[rows[d]] = d_pre[d]
+            h_prev_flat = np.empty_like(h_prev[d])
+            h_prev_flat[rows[d]] = h_prev[d]
+            grads += [d_pre_flat, h_prev_flat.T @ d_pre_flat, d_pre_flat.sum(axis=0)]
+        return grads
 
-    return Tensor(out, (pre_all, u, b), back)
-
-
-def bilstm_forward(features: Tensor, params: BiLstmParams) -> Tensor:
-    """Run both LSTM directions from zero states; concatenate per token."""
-    n = features.shape[0]
-    if n == 0:
-        raise ValueError("bilstm_forward needs a non-empty sequence")
-    p = params.params
-    fw = _lstm_direction(features, p["fw.w"], p["fw.u"], p["fw.b"],
-                         params.hidden, range(n))
-    bw = _lstm_direction(features, p["bw.w"], p["bw.u"], p["bw.b"],
-                         params.hidden, range(n - 1, -1, -1))
-    return ad.concat([fw, bw], axis=1)
+    return Tensor(flat_out, (pre_all[0], p["fw.u"], p["fw.b"],
+                             pre_all[1], p["bw.u"], p["bw.b"]), back)

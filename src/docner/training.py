@@ -250,9 +250,8 @@ def train_feature_based(model: NerModel, corpus: Corpus,
     frozen_before = _frozen_digest(model)
 
     def dev_micro_f1() -> float:
-        predictions = [model.decode_tags(it.tokens, it.ctx, dev_corpus.scheme,
-                                         frozen_features=it.features)
-                       for it in dev_items]
+        predictions = model.tag_features([it.features for it in dev_items],
+                                         dev_corpus.scheme)
         return score(dev_corpus, with_predictions(dev_corpus, predictions)).micro.f1
 
     rng = np.random.default_rng(seed)

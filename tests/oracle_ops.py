@@ -1,12 +1,18 @@
-"""Autodiff ops that only the test oracles use.
+"""Reference ops that only the tests use.
 
-The fused LSTM op in `docner.tagger` computes its gates in numpy, so the
-program itself needs no sigmoid, tanh or mean node; the per-timestep
-reference LSTM and the gradient-check table build their graphs from these.
+The sigmoid, tanh and mean nodes build the per-timestep reference LSTM and
+the gradient-check table; the fused LSTM op in `docner.tagger` computes its
+gates in numpy, so the program itself needs none of them.
+
+`crf_log_z`, `lstm_direction`, `bilstm_forward` and `viterbi` are the
+per-sentence sequence ops that `docner.tagger` replaced with batched ones.
+A batched op run on a batch of one must equal them bit for bit, and on a
+ragged batch it must match them run sentence by sentence.
 """
 
 import numpy as np
 from scipy import special
+from scipy.special import expit
 
 from docner import autodiff as ad
 from docner.autodiff import Tensor
@@ -28,3 +34,133 @@ def tanh(a: Tensor) -> Tensor:
     a = ad.as_tensor(a)
     y = np.tanh(a.data)
     return Tensor(y, (a,), lambda g: (g * (1.0 - y * y),))
+
+
+def crf_log_z(emissions: Tensor, crf) -> Tensor:
+    """Log partition of one sentence over all label paths (forward algorithm,
+    log space); one graph node whose backward writes the label marginals."""
+    n, num_labels = emissions.shape
+    if n == 0:
+        raise ValueError("forward algorithm needs a non-empty sequence")
+    e = emissions.data
+    trans = crf.transitions.data
+    core = trans[:num_labels, :num_labels]
+    stop = trans[:num_labels, crf.stop]
+
+    alphas = np.empty((n, num_labels))
+    alphas[0] = trans[crf.start, :num_labels] + e[0]
+    for t in range(1, n):
+        scores = alphas[t - 1][:, None] + core  # [from, to]
+        m = scores.max(axis=0)
+        alphas[t] = m + np.log(np.exp(scores - m).sum(axis=0)) + e[t]
+    final = alphas[-1] + stop
+    m = final.max()
+    log_z = m + np.log(np.exp(final - m).sum())
+
+    def back(g):
+        betas = np.empty((n, num_labels))
+        betas[-1] = stop
+        ahead = np.empty((n - 1, num_labels))  # e[t + 1] + betas[t + 1]
+        for t in range(n - 2, -1, -1):
+            ahead[t] = e[t + 1] + betas[t + 1]
+            scores = core + ahead[t]  # [from, to]
+            m = scores.max(axis=1)
+            betas[t] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+        unary = np.exp(alphas + betas - log_z)
+        d_trans = np.zeros_like(trans)
+        d_trans[:num_labels, :num_labels] = np.exp(
+            alphas[:-1, :, None] + core + ahead[:, None, :] - log_z).sum(axis=0)
+        d_trans[crf.start, :num_labels] = unary[0]
+        d_trans[:num_labels, crf.stop] = unary[-1]
+        return g * unary, g * d_trans
+
+    return Tensor(log_z, (emissions, crf.transitions), back)
+
+
+def viterbi(scores: np.ndarray, crf) -> tuple[list[int], float]:
+    """One sentence's highest-scoring label path and its score; ties break
+    toward the lowest label index at every backtracking step."""
+    n, num_labels = scores.shape
+    if n == 0:
+        raise ValueError("cannot decode an empty emission matrix")
+    trans = crf.transitions.data
+    core = trans[:num_labels, :num_labels]
+
+    delta = trans[crf.start, :num_labels] + scores[0]
+    backptr = np.empty((n, num_labels), dtype=np.intp)
+    for t in range(1, n):
+        cand = delta[:, None] + core  # [from, to]
+        backptr[t] = cand.argmax(axis=0)
+        delta = cand.max(axis=0) + scores[t]
+    final = delta + trans[:num_labels, crf.stop]
+    last = int(final.argmax())
+    best = [last]
+    for t in range(n - 1, 0, -1):
+        last = int(backptr[t, last])
+        best.append(last)
+    best.reverse()
+    return best, float(final.max())
+
+
+def lstm_direction(features: Tensor, w: Tensor, u: Tensor, b: Tensor,
+                   hidden: int, order: range) -> Tensor:
+    """One LSTM direction over one sentence from zero states, stepping
+    through `order`; one graph node whose backward is backpropagation
+    through time."""
+    pre_all = features @ w
+    n = pre_all.shape[0]
+    x, u_data, b_data = pre_all.data, u.data, b.data
+    h = np.zeros((1, hidden))
+    c = np.zeros((1, hidden))
+    gates = np.empty((n, 4 * hidden))  # activations, gate order (i, f, g, o)
+    cells = np.empty((n, hidden))
+    out = np.empty((n, hidden))
+    cell_gate = slice(2 * hidden, 3 * hidden)
+    for t in order:
+        pre = x[t:t + 1] + h @ u_data + b_data
+        act = expit(pre)
+        act[:, cell_gate] = np.tanh(pre[:, cell_gate])
+        i, f, g, o = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        gates[t], cells[t], out[t] = act, c, h
+
+    def back(d_out):
+        h_prev = np.zeros_like(out)
+        c_prev = np.zeros_like(cells)
+        h_prev[order[1:]] = out[order[:-1]]
+        c_prev[order[1:]] = cells[order[:-1]]
+        i, f, g, o = (gates[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        tanh_c = np.tanh(cells)
+        by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                          i * (1.0 - g * g)], axis=1)  # [n, 3, H]
+        by_dh = tanh_c * o * (1.0 - o)
+        dc_by_dh = o * (1.0 - tanh_c * tanh_c)
+        d_pre = np.empty((n, 4 * hidden))
+        u_t = u_data.T
+        dh_rec = np.zeros(hidden)
+        dc = np.zeros(hidden)
+        f_next = np.zeros(hidden)
+        for t in reversed(order):
+            dh = d_out[t] + dh_rec
+            dc = dc * f_next + dh * dc_by_dh[t]
+            d_pre[t, :3 * hidden] = (by_dc[t] * dc).reshape(-1)
+            d_pre[t, 3 * hidden:] = dh * by_dh[t]
+            dh_rec = d_pre[t] @ u_t
+            f_next = f[t]
+        return d_pre, h_prev.T @ d_pre, d_pre.sum(axis=0)
+
+    return Tensor(out, (pre_all, u, b), back)
+
+
+def bilstm_forward(features: Tensor, params) -> Tensor:
+    """Both LSTM directions over one sentence, concatenated per token."""
+    n = features.shape[0]
+    if n == 0:
+        raise ValueError("bilstm_forward needs a non-empty sequence")
+    p = params.params
+    fw = lstm_direction(features, p["fw.w"], p["fw.u"], p["fw.b"],
+                        params.hidden, range(n))
+    bw = lstm_direction(features, p["bw.w"], p["bw.u"], p["bw.b"],
+                        params.hidden, range(n - 1, -1, -1))
+    return ad.concat([fw, bw], axis=1)

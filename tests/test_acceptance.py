@@ -21,7 +21,8 @@ from docner.evaluation import round2, score
 from docner.model import NerModel, predict_corpus
 from docner.synthetic import (adversarial_boundary_corpus, corpus_from_documents,
                               cue_corpus, cue_documents, overfit_corpus)
-from docner.tagger import BiLstmParams, CrfParams, bilstm_forward, crf_log_z, crf_nll, viterbi
+from docner.tagger import (BiLstmParams, CrfParams, Packing, bilstm_forward, crf_log_z,
+                           crf_nll, viterbi)
 from docner.tokenizer import encode, train_vocab
 from docner.training import (FeatureBasedConfig, FineTuneConfig, annealing_epochs,
                              one_cycle_lr, train_feature_based, train_finetune)
@@ -69,12 +70,12 @@ def test_criterion_1_crf_exactness():
 
         paths, path_scores = enumerate_paths(emissions, crf)
         best = int(path_scores.argmax())
-        decoded, decoded_score = viterbi(emissions, crf)
+        [decoded], [decoded_score] = viterbi(emissions, Packing([n]), crf)
         assert decoded == list(paths[best])
         assert abs(decoded_score - float(path_scores[best])) < 1e-9
         brute_log_z = float(np.logaddexp.reduce(np.sort(path_scores)))
         with ad.no_grad():
-            log_z = float(crf_log_z(Tensor(emissions), crf).data)
+            log_z = float(crf_log_z(Tensor(emissions), Packing([n]), crf).data)
         assert abs(log_z - brute_log_z) < 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"enumeration comparison took {elapsed:.1f}s"
@@ -108,7 +109,7 @@ def test_criterion_2_gradient_fidelity():
         crf = CrfParams(num_labels)
         crf.transitions.data = rng.uniform(-2, 2, crf.transitions.data.shape)
         gold = list(rng.integers(0, num_labels, n))
-        err = ad.grad_check(lambda: crf_nll(emissions, gold, crf),
+        err = ad.grad_check(lambda: crf_nll(emissions, [gold], crf),
                             [emissions, crf.transitions], epsilon=1e-5)
         worst = max(worst, err)
 
@@ -121,7 +122,8 @@ def test_criterion_2_gradient_fidelity():
         x = Tensor(rng.normal(size=(int(rng.integers(1, 4)), 2)))
         weights = Tensor(rng.normal(size=(6, 1)))
         err = ad.grad_check(
-            lambda: ad.tsum(bilstm_forward(x, params) @ weights) * 1e-4,
+            lambda: ad.tsum(bilstm_forward(x, Packing([x.shape[0]]), params)
+                            @ weights) * 1e-4,
             [x, weights] + params.parameters(), epsilon=1e-5)
         worst = max(worst, err)
 
@@ -135,6 +137,27 @@ def test_criterion_2_gradient_fidelity():
         err = ad.grad_check(
             lambda: model.batch_loss([sentence.texts], [ctx], [gold]) * 1e-4,
             model.all_parameters(), epsilon=1e-5)
+        worst = max(worst, err)
+
+    # ragged batches: sentences of different lengths stepped together
+    ragged = np.random.default_rng(11)
+    for i in range(6):
+        lengths = ragged.integers(1, 5, int(ragged.integers(2, 6))).tolist()
+        num_labels = int(ragged.integers(2, 5))
+        emissions = Tensor(ragged.uniform(-2, 2, (sum(lengths), num_labels)))
+        crf = CrfParams(num_labels)
+        crf.transitions.data = ragged.uniform(-2, 2, crf.transitions.data.shape)
+        golds = [ragged.integers(0, num_labels, n).tolist() for n in lengths]
+        err = ad.grad_check(lambda: crf_nll(emissions, golds, crf),
+                            [emissions, crf.transitions], epsilon=1e-5)
+        worst = max(worst, err)
+
+        params = BiLstmParams(2, 3, np.random.default_rng(300 + i))
+        x = Tensor(ragged.normal(size=(sum(lengths), 2)))
+        weights = Tensor(ragged.normal(size=(6, 1)))
+        err = ad.grad_check(
+            lambda: ad.tsum(bilstm_forward(x, Packing(lengths), params) @ weights) * 1e-4,
+            [x, weights] + params.parameters(), epsilon=1e-5)
         worst = max(worst, err)
 
     elapsed = time.perf_counter() - start

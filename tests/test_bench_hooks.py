@@ -36,13 +36,20 @@ def run_both_recipes():
                         seed=1)
     training.train_finetune(finetune, train, training.FineTuneConfig(max_epochs=1),
                             seed=1)
+    # static word embeddings join the encoder rows with autodiff.concat, which
+    # no other layer of either recipe calls
     feature = NerModel(vocab, train.label_set, TOY, context=ContextConfig(8, True),
-                       mode="feature", head="crf", bilstm_hidden=4, seed=1)
+                       mode="feature", head="crf", bilstm_hidden=4,
+                       use_word_embeddings=True, word_dim=4, seed=1)
     training.train_feature_based(
         feature, train, training.FeatureBasedConfig(max_epochs=1, batch_size=4),
         seed=1, dev_corpus=dev)
+    sentence = next(test.sentences())
     for model in (finetune, feature):
         predict_corpus(model, test)
+        # the benchmark's tagging pass: one sentence at a time
+        model.decode_tags(sentence.texts, model.contextualize(sentence, test),
+                          test.scheme)
 
 
 def test_every_hook_finds_its_layer():

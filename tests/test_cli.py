@@ -222,6 +222,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"unknown keys in context: \['windw'\]"):
             ExperimentConfig.from_json('{"context": {"windw": 3}}')
 
+    @pytest.mark.parametrize("key", ["context", "transformer", "finetune", "feature"])
+    @pytest.mark.parametrize("value", ["null", "[1]", "3"])
+    def test_non_object_config_block_rejected(self, key, value):
+        from docner.experiments import ExperimentConfig
+        with pytest.raises(ValueError, match=f"^{key} must hold an object"):
+            ExperimentConfig.from_json(f'{{"{key}": {value}}}')
+
 
 class TestSweepContext:
     def test_single_window_matches_run_experiment(self, tmp_path, capsys):

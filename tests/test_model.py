@@ -16,9 +16,11 @@ from docner.encoder import TransformerConfig, concat_word_embeddings, pool_layer
 from docner.experiments import ExperimentConfig, build_model
 from docner.model import NerModel, bioes_labels, predict_corpus
 from docner.synthetic import corpus_from_documents, overfit_corpus
-from docner.tagger import crf_nll, linear_head, softmax_nll
+from docner.tagger import crf_gold_score, crf_nll, linear_head, softmax_nll
 from docner.tokenizer import encode, train_vocab
 from docner.training import FineTuneConfig, train_finetune
+
+import oracle_ops
 from test_acceptance import _mini_tagging_model
 from test_encoder import assert_close_to, reference_forward
 
@@ -126,7 +128,7 @@ def reference_sentence_loss(model, tokens, ctx, gold):
     emissions = linear_head(concat_word_embeddings(reps, tokens, model.word_table),
                             model.head_w, model.head_b)
     if model.crf is not None:
-        return crf_nll(emissions, gold, model.crf)
+        return crf_nll(emissions, [gold], model.crf)
     return softmax_nll(emissions, gold)
 
 
@@ -193,6 +195,37 @@ class TestBatchedLoss:
         model = NerModel(vocab, corpus.label_set, dataclasses.replace(TINY, layers=0),
                          context=ContextConfig(window=6), seed=0)
         assert_batch_matches_reference(model, corpus, (5,))
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_ragged_feature_batch_matches_mean_of_oracle_sentence_losses(
+            self, setup, constrained):
+        corpus, vocab = setup
+        model = NerModel(vocab, corpus.label_set, TINY, mode="feature", head="crf",
+                         bilstm_hidden=8, constrain_transitions=constrained, seed=0)
+        rng = np.random.default_rng(3)
+        lengths = [3, 1, 7, 3, 5, 1]  # unsorted, with ties and single tokens
+        features = [rng.normal(size=(n, TINY.model_dim)) for n in lengths]
+        gold = [list(rng.integers(0, len(model.labels), n)) for n in lengths]
+
+        def oracle_sentence_loss(f, g):
+            emissions = linear_head(oracle_ops.bilstm_forward(ad.Tensor(f), model.bilstm),
+                                    model.head_w, model.head_b)
+            return (oracle_ops.crf_log_z(emissions, model.crf)
+                    - crf_gold_score(emissions, [g], model.crf))
+
+        def reference():
+            total = oracle_sentence_loss(features[0], gold[0])
+            for f, g in zip(features[1:], gold[1:]):
+                total = total + oracle_sentence_loss(f, g)
+            return total * (1.0 / len(lengths))
+
+        loss, grads = loss_and_gradients(model, lambda: model.batch_loss(
+            [[]] * len(lengths), [None] * len(lengths), gold, frozen_features=features))
+        ref_loss, ref_grads = loss_and_gradients(model, reference)
+        assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0)
+        for g, ref in zip(grads, ref_grads):
+            if np.abs(ref).max() > 0:  # the frozen encoder gets no gradient
+                assert_close_to(g, ref)
 
     @pytest.mark.parametrize("head", ["linear", "crf"])
     def test_padded_batch_passes_finite_differences(self, head):
@@ -279,6 +312,14 @@ class TestCheckpoint:
         path = saved_then_edited(setup, tmp_path,
                                  edit_meta=lambda meta: meta.update({key: None}))
         with pytest.raises(ValueError, match=f"{key} must hold an object"):
+            NerModel.load(path)
+
+    @pytest.mark.parametrize("key", ["transformer", "context"])
+    def test_unknown_key_in_config_meta_rejected(self, setup, tmp_path, key):
+        path = saved_then_edited(setup, tmp_path,
+                                 edit_meta=lambda meta: meta[key].update(windw=3))
+        with pytest.raises(ValueError, match=rf"unknown keys in checkpoint meta "
+                                             rf"{key}: \['windw'\]"):
             NerModel.load(path)
 
     def test_non_finite_parameter_rejected(self, setup, tmp_path):

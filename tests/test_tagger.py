@@ -6,9 +6,11 @@ import pytest
 
 from docner import autodiff as ad
 from docner.autodiff import Tensor
-from docner.tagger import (BiLstmParams, CrfParams, _lstm_direction,
-                           bilstm_forward, crf_log_z, crf_nll, greedy_decode,
+from docner.tagger import (BiLstmParams, CrfParams, Packing, bilstm_forward,
+                           crf_gold_score, crf_log_z, crf_nll, greedy_decode,
                            linear_head, path_score, softmax_nll, viterbi)
+
+import oracle_ops
 from oracle_ops import sigmoid, tanh
 
 
@@ -29,6 +31,16 @@ def random_crf(rng, num_labels, lo=-2.0, hi=2.0):
     crf = CrfParams(num_labels)
     crf.transitions.data = rng.uniform(lo, hi, crf.transitions.data.shape)
     return crf
+
+
+def one_sentence_log_z(e, crf):
+    e = ad.as_tensor(e)
+    return crf_log_z(e, Packing([e.shape[0]]), crf)
+
+
+def decode_one(scores, crf):
+    [path], [score] = viterbi(scores, Packing([len(scores)]), crf)
+    return path, score
 
 
 class TestLinearHead:
@@ -75,14 +87,14 @@ class TestGreedyDecode:
 class TestCrfNll:
     def test_single_token_single_label_zero_transitions(self):
         crf = CrfParams(1)
-        loss = crf_nll(Tensor([[2.5]]), [0], crf)
+        loss = crf_nll(Tensor([[2.5]]), [[0]], crf)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_transitions_factorizes_into_softmax(self, rng):
         e = rng.normal(size=(2, 2))
         crf = CrfParams(2)
         gold = [1, 0]
-        loss = float(crf_nll(Tensor(e), gold, crf).data)
+        loss = float(crf_nll(Tensor(e), [gold], crf).data)
         expected = float(softmax_nll(Tensor(e), gold).data)
         assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -94,7 +106,7 @@ class TestCrfNll:
             _, s = enumerate_paths(e, crf)
             expected = float(np.logaddexp.reduce(np.sort(s)))
             with ad.no_grad():
-                got = float(crf_log_z(Tensor(e), crf).data)
+                got = float(one_sentence_log_z(e, crf).data)
             assert got == pytest.approx(expected, abs=1e-9)
 
     def test_loss_nonnegative_and_prob_in_unit_interval(self, rng):
@@ -103,7 +115,7 @@ class TestCrfNll:
             e = rng.uniform(-2, 2, (n, num_labels))
             crf = random_crf(rng, num_labels)
             gold = list(rng.integers(0, num_labels, n))
-            loss = float(crf_nll(Tensor(e), gold, crf).data)
+            loss = float(crf_nll(Tensor(e), [gold], crf).data)
             assert loss >= -1e-12
             assert 0.0 < math.exp(-loss) <= 1.0 + 1e-12
 
@@ -111,20 +123,20 @@ class TestCrfNll:
         e = rng.uniform(-2, 2, (3, 3))
         crf = random_crf(rng, 3)
         with ad.no_grad():
-            log_z = float(crf_log_z(Tensor(e), crf).data)
+            log_z = float(one_sentence_log_z(e, crf).data)
         _, s = enumerate_paths(e, crf)
         assert np.exp(s - log_z).sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_label_out_of_range(self, rng):
         crf = CrfParams(2)
         with pytest.raises(ValueError):
-            crf_nll(Tensor(rng.normal(size=(2, 2))), [0, 5], crf)
+            crf_nll(Tensor(rng.normal(size=(2, 2))), [[0, 5]], crf)
 
     def test_gradients_pass_finite_difference_check(self, rng):
         e = Tensor(rng.uniform(-2, 2, (4, 5)))
         crf = random_crf(rng, 5)
         gold = list(rng.integers(0, 5, 4))
-        err = ad.grad_check(lambda: crf_nll(e, gold, crf),
+        err = ad.grad_check(lambda: crf_nll(e, [gold], crf),
                             [e, crf.transitions], epsilon=1e-5)
         assert err < 1e-6
 
@@ -135,26 +147,26 @@ class TestCrfNll:
         shifted = e.copy()
         shifted[1] += 0.7
         with ad.no_grad():
-            dz = float(crf_log_z(Tensor(shifted), crf).data) - \
-                float(crf_log_z(Tensor(e), crf).data)
+            dz = float(one_sentence_log_z(shifted, crf).data) - \
+                float(one_sentence_log_z(e, crf).data)
             assert dz == pytest.approx(0.7, abs=1e-9)
         assert path_score(shifted, gold, crf) - path_score(e, gold, crf) == \
             pytest.approx(0.7, abs=1e-12)
-        assert viterbi(shifted, crf)[0] == viterbi(e, crf)[0]
+        assert decode_one(shifted, crf)[0] == decode_one(e, crf)[0]
 
 
 class TestViterbi:
     def test_zero_transitions_equals_greedy(self, rng):
         e = rng.normal(size=(5, 4))
         crf = CrfParams(4)
-        assert viterbi(e, crf)[0] == greedy_decode(e)
+        assert decode_one(e, crf)[0] == greedy_decode(e)
 
     def test_avoids_forbidden_bigram(self, rng):
         crf = CrfParams(2)
         crf.transitions.data[0, 1] = -1e9
         for _ in range(20):
             e = rng.uniform(-2, 2, (4, 2))
-            best, _ = viterbi(e, crf)
+            best, _ = decode_one(e, crf)
             assert not any(a == 0 and b == 1 for a, b in zip(best, best[1:]))
 
     def test_matches_enumeration(self, rng):
@@ -163,7 +175,7 @@ class TestViterbi:
             e = rng.uniform(-2, 2, (n, num_labels))
             crf = random_crf(rng, num_labels)
             paths, s = enumerate_paths(e, crf)
-            best_path, best_score = viterbi(e, crf)
+            best_path, best_score = decode_one(e, crf)
             idx = int(s.argmax())
             assert best_path == list(paths[idx])
             assert best_score == pytest.approx(float(s[idx]), abs=1e-9)
@@ -174,12 +186,12 @@ class TestViterbi:
             e = rng.uniform(-2, 2, (n, num_labels))
             crf = random_crf(rng, num_labels)
             gold = list(rng.integers(0, num_labels, n))
-            _, best_score = viterbi(e, crf)
+            _, best_score = decode_one(e, crf)
             assert best_score >= path_score(e, gold, crf) - 1e-12
 
     def test_all_equal_scores_decode_to_label_zero(self):
         crf = CrfParams(3)
-        assert viterbi(np.zeros((4, 3)), crf)[0] == [0, 0, 0, 0]
+        assert decode_one(np.zeros((4, 3)), crf)[0] == [0, 0, 0, 0]
 
 
 class TestConstrainedTransitions:
@@ -229,19 +241,19 @@ class TestBiLstm:
         params = BiLstmParams(3, 4, rng)
         for t in params.params.values():
             t.data[:] = 0.0
-        out = bilstm_forward(Tensor(rng.normal(size=(3, 3))), params)
+        out = bilstm_forward(Tensor(rng.normal(size=(3, 3))), Packing([3]), params)
         np.testing.assert_array_equal(out.data, np.zeros((3, 8)))
 
     def test_output_width_is_twice_hidden(self, rng):
         params = BiLstmParams(8, 256, rng)
-        out = bilstm_forward(Tensor(rng.normal(size=(1, 8))), params)
+        out = bilstm_forward(Tensor(rng.normal(size=(1, 8))), Packing([1]), params)
         assert out.shape == (1, 512)
 
     def test_matches_scalar_reference(self, rng):
         hidden, idim, n = 3, 2, 3
         params = BiLstmParams(idim, hidden, rng)
         x = rng.normal(size=(n, idim))
-        out = bilstm_forward(Tensor(x), params).data
+        out = bilstm_forward(Tensor(x), Packing([n]), params).data
         p = params.params
         fw = scalar_lstm_reference(x.tolist(), p["fw.w"].data.tolist(),
                                    p["fw.u"].data.tolist(), p["fw.b"].data.tolist(),
@@ -256,14 +268,19 @@ class TestBiLstm:
         params = BiLstmParams(2, 3, rng)
         x = Tensor(rng.normal(size=(3, 2)))
         err = ad.grad_check(
-            lambda: ad.tsum(bilstm_forward(x, params) *
-                            bilstm_forward(x, params)),
+            lambda: ad.tsum(bilstm_forward(x, Packing([3]), params) *
+                            bilstm_forward(x, Packing([3]), params)),
             [x] + params.parameters(), epsilon=1e-5)
         assert err < 1e-5
 
     def test_empty_sequence_errors(self, rng):
         with pytest.raises(ValueError):
-            bilstm_forward(Tensor(np.zeros((0, 2))), BiLstmParams(2, 3, rng))
+            bilstm_forward(Tensor(np.zeros((0, 2))), Packing([0]), BiLstmParams(2, 3, rng))
+
+    def test_rows_must_match_the_packing(self, rng):
+        with pytest.raises(ValueError, match="rows"):
+            bilstm_forward(Tensor(np.zeros((3, 2))), Packing([2]),
+                           BiLstmParams(2, 3, rng))
 
 
 # -- fused sequence ops against per-timestep autodiff references -------------
@@ -331,7 +348,7 @@ class TestFusedCrfLogZ:
     def test_matches_per_timestep_reference(self, rng, n):
         e = Tensor(rng.uniform(-2, 2, (n, 5)))
         crf = random_crf(rng, 5)
-        assert_fused_matches_reference(lambda: crf_log_z(e, crf),
+        assert_fused_matches_reference(lambda: one_sentence_log_z(e, crf),
                                        lambda: reference_crf_log_z(e, crf),
                                        [e, crf.transitions])
 
@@ -342,7 +359,7 @@ class TestFusedCrfLogZ:
         crf = CrfParams(len(labels), rng)
         crf.constrain(labels)
         e = Tensor(rng.uniform(-3, 3, (n, len(labels))))
-        assert_fused_matches_reference(lambda: crf_log_z(e, crf),
+        assert_fused_matches_reference(lambda: one_sentence_log_z(e, crf),
                                        lambda: reference_crf_log_z(e, crf),
                                        [e, crf.transitions])
 
@@ -351,13 +368,17 @@ class TestFusedLstmDirection:
     @pytest.mark.parametrize("n", LENGTHS)
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_per_timestep_reference(self, rng, n, reverse):
+        """Each direction's half of the BiLSTM output, and the gradients
+        reaching that direction's weights and the features through it."""
         hidden = 6
         params = BiLstmParams(4, hidden, rng)
-        w, u, b = (params.params[f"fw.{k}"] for k in "wub")
+        d = "bw" if reverse else "fw"
+        w, u, b = (params.params[f"{d}.{k}"] for k in "wub")
         x = Tensor(rng.normal(size=(n, 4)))
         order = range(n - 1, -1, -1) if reverse else range(n)
         assert_fused_matches_reference(
-            lambda: _lstm_direction(x, w, u, b, hidden, order),
+            lambda: ad.narrow(bilstm_forward(x, Packing([n]), params), 1,
+                              hidden if reverse else 0, hidden),
             lambda: reference_lstm_direction(x, w, u, b, hidden, order),
             [x, w, u, b])
 
@@ -370,4 +391,147 @@ class TestFusedLstmDirection:
                                       range(7)).data,
              reference_lstm_direction(x, p["bw.w"], p["bw.u"], p["bw.b"], 5,
                                       range(6, -1, -1)).data], axis=1)
-        assert np.array_equal(bilstm_forward(x, params).data, expected)
+        assert np.array_equal(bilstm_forward(x, Packing([7]), params).data, expected)
+
+
+# -- batched ops against the per-sentence oracle ops -------------------------
+
+
+class TestPacking:
+    def test_layout(self):
+        packing = Packing([2, 3, 1, 3])  # flat rows 0-1, 2-4, 5, 6-8
+        assert packing.order == [1, 3, 0, 2]  # longest first, ties in input order
+        assert packing.sorted_lengths == [3, 3, 2, 1]
+        assert packing.bounds == [0, 4, 7, 9]
+        assert packing.forward.tolist() == [2, 6, 0, 5, 3, 7, 1, 4, 8]
+        assert packing.backward.tolist() == [4, 8, 1, 5, 3, 7, 0, 2, 6]
+        assert packing.rank.tolist() == [0, 1, 2, 3, 0, 1, 2, 0, 1]
+        assert packing.previous.tolist() == [0, 1, 2, 4, 5]
+        assert packing.last.tolist() == [7, 8, 6, 3]
+        assert packing.rows == 9
+
+    def test_single_sentence_layout(self):
+        packing = Packing([4])
+        rows = np.arange(4)
+        assert rows[packing.forward].tolist() == [0, 1, 2, 3]
+        assert rows[packing.backward].tolist() == [3, 2, 1, 0]
+        assert packing.bounds == [0, 1, 2, 3, 4]
+        assert packing.rank.tolist() == [0, 0, 0, 0]
+        assert packing.previous.tolist() == [0, 1, 2]
+        assert packing.last.tolist() == [3]
+
+    @pytest.mark.parametrize("lengths", [[], [0], [2, 0]])
+    def test_empty_batch_or_sentence_rejected(self, lengths):
+        with pytest.raises(ValueError, match="at least one"):
+            Packing(lengths)
+
+
+RAGGED = [[1], [3, 1], [1, 1, 1], [2, 5, 5, 1, 3], [4, 1, 7, 2, 7, 3, 1, 6],
+          [6, 6, 6, 6, 6, 6, 6, 6]]
+
+
+def per_sentence(lengths, op, *tensors):
+    """op applied to each sentence's rows of `tensors`, results in a list."""
+    bounds = np.cumsum([0] + list(lengths))
+    return [op(*(ad.narrow(t, 0, int(a), int(z - a)) for t in tensors))
+            for a, z in zip(bounds[:-1], bounds[1:])]
+
+
+def sum_of(tensors):
+    total = tensors[0]
+    for t in tensors[1:]:
+        total = total + t
+    return total
+
+
+def assert_batch_matches_oracle(batched, oracle, inputs, exact):
+    out, grads = value_and_grads(batched, inputs)
+    ref_out, ref_grads = value_and_grads(oracle, inputs)
+    if exact:
+        assert np.array_equal(out, ref_out)
+        for grad, ref in zip(grads, ref_grads):
+            assert np.array_equal(grad, ref)
+    else:
+        assert np.abs(out - ref_out).max() <= 1e-10 * max(1.0, np.abs(ref_out).max())
+        for grad, ref in zip(grads, ref_grads):
+            assert np.abs(grad - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+def bioes_crf(rng, constrained):
+    labels = ["O", "B-LOC", "I-LOC", "E-LOC", "S-LOC", "B-PER", "I-PER",
+              "E-PER", "S-PER"]
+    if constrained:
+        crf = CrfParams(len(labels), rng)
+        crf.constrain(labels)
+        return crf
+    return random_crf(rng, len(labels))
+
+
+class TestBatchOfOne:
+    """A batch of one sentence is the per-sentence op, bit for bit."""
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_crf_log_z_and_viterbi(self, rng, n, constrained):
+        crf = bioes_crf(rng, constrained)
+        e = Tensor(rng.uniform(-3, 3, (n, crf.num_labels)))
+        assert_batch_matches_oracle(lambda: one_sentence_log_z(e, crf),
+                                    lambda: oracle_ops.crf_log_z(e, crf),
+                                    [e, crf.transitions], exact=True)
+        path, score = decode_one(e.data, crf)
+        assert (path, score) == oracle_ops.viterbi(e.data, crf)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_bilstm(self, rng, n):
+        params = BiLstmParams(4, 6, rng)
+        x = Tensor(rng.normal(size=(n, 4)))
+        assert_batch_matches_oracle(lambda: bilstm_forward(x, Packing([n]), params),
+                                    lambda: oracle_ops.bilstm_forward(x, params),
+                                    [x] + params.parameters(), exact=True)
+
+
+class TestRaggedBatch:
+    """Ragged batches match the per-sentence ops run sentence by sentence."""
+
+    @pytest.mark.parametrize("lengths", RAGGED)
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_crf_log_z(self, rng, lengths, constrained):
+        crf = bioes_crf(rng, constrained)
+        e = Tensor(rng.uniform(-3, 3, (sum(lengths), crf.num_labels)))
+        assert_batch_matches_oracle(
+            lambda: crf_log_z(e, Packing(lengths), crf),
+            lambda: sum_of(per_sentence(lengths,
+                                        lambda s: oracle_ops.crf_log_z(s, crf), e)),
+            [e, crf.transitions], exact=False)
+
+    @pytest.mark.parametrize("lengths", RAGGED)
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_viterbi(self, rng, lengths, constrained):
+        crf = bioes_crf(rng, constrained)
+        e = rng.uniform(-3, 3, (sum(lengths), crf.num_labels))
+        paths, scores = viterbi(e, Packing(lengths), crf)
+        bounds = np.cumsum([0] + lengths)
+        expected = [oracle_ops.viterbi(e[a:z], crf) for a, z in zip(bounds, bounds[1:])]
+        assert list(zip(paths, scores)) == expected
+
+    @pytest.mark.parametrize("lengths", RAGGED)
+    def test_crf_nll(self, rng, lengths):
+        crf = random_crf(rng, 4)
+        e = Tensor(rng.uniform(-2, 2, (sum(lengths), 4)))
+        golds = [list(rng.integers(0, 4, n)) for n in lengths]
+        assert_batch_matches_oracle(
+            lambda: crf_nll(e, golds, crf),
+            lambda: sum_of([
+                oracle_ops.crf_log_z(s, crf) - crf_gold_score(s, [gold], crf)
+                for s, gold in zip(per_sentence(lengths, lambda s: s, e), golds)]),
+            [e, crf.transitions], exact=False)
+
+    @pytest.mark.parametrize("lengths", RAGGED)
+    def test_bilstm(self, rng, lengths):
+        params = BiLstmParams(3, 5, rng)
+        x = Tensor(rng.normal(size=(sum(lengths), 3)))
+        assert_batch_matches_oracle(
+            lambda: bilstm_forward(x, Packing(lengths), params),
+            lambda: ad.concat(per_sentence(
+                lengths, lambda s: oracle_ops.bilstm_forward(s, params), x)),
+            [x] + params.parameters(), exact=False)
