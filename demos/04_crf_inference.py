@@ -38,7 +38,7 @@ print(f"brute  path {[labels[i] for i in brute]} score {scores.max():.4f}")
 
 # The negative log-likelihood of the gold path is log Z - score(gold).
 gold = [1, 2, 0, 1]  # B-X I-X O B-X
-loss = crf_nll(Tensor(emissions), [gold], crf)
+loss = crf_nll(Tensor(emissions), [gold], Packing([4]), crf)
 print(f"\nNLL of gold {[labels[i] for i in gold]}: {float(loss.data):.4f} "
       f"(= {log_z:.4f} - {path_score(emissions, gold, crf):.4f})")
 

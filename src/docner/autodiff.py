@@ -43,16 +43,17 @@ def grad_enabled() -> bool:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` over the axes numpy broadcast when producing it from `shape`."""
+    """Sum `grad` over the leading axes numpy prepended when broadcasting an
+    operand of `shape`; broadcasting along a size-1 axis is not supported."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    if grad.shape != shape:
+        raise ValueError(f"cannot reduce a {grad.shape} gradient to an operand of "
+                         f"shape {shape}: size-1 axes do not broadcast")
+    return grad
 
 
 class Tensor:
@@ -170,12 +171,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     a = as_tensor(a)
     return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
-    inv = np.argsort(axes)
-    return Tensor(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -311,17 +306,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return dx, ggain, gbias
 
     return Tensor(y, (a, gain, bias), back)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-rate) in train mode."""
-    a = as_tensor(a)
-    if not train or rate <= 0.0:
-        return a
-    if rate >= 1.0:
-        raise ValueError("dropout rate must be < 1")
-    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    return Tensor(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 # -- gradient checking ---------------------------------------------------

@@ -10,6 +10,11 @@ regimes need (last layer, all-layer mean, last-four concat). Only each core
 token's first subtoken is read downstream, so the last layer, which no later
 layer reads as keys, computes only those rows; callers take each layer's
 core rows first and pool them after.
+
+Each layer is one graph node with a hand-written backward. The attention
+backward uses FlashAttention's identity rowsum(dP * P) = rowsum(dO * O)
+(Dao et al. 2022), so the only [B, H, n, n] array a layer keeps is the
+attention itself.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from .autodiff import Tensor
 from .context import ContextualizedSentence
 
 POOL_STRATEGIES = ("last_layer", "all_layer_mean", "last_four_concat")
+# one layer's parameters, in the order its graph node lists them
+LAYER_PARAMS = ("ln1_g", "ln1_b", "wq", "wq_b", "wk", "wk_b", "wv", "wv_b",
+                "wo", "wo_b", "ln2_g", "ln2_b", "w1", "w1_b", "w2", "w2_b")
 
 
 @dataclass(frozen=True)
@@ -102,45 +110,117 @@ class TransformerEncoder:
                 f"assembled input of {n} subtokens exceeds max positions "
                 f"{c.max_positions}; shrink the context window")
         p = self.params
-        d, heads = c.model_dim, c.heads
-        head_dim = d // heads
+        d = c.model_dim
         tokens = ad.reshape(ad.take_rows(p["tok_emb"], ids.reshape(-1)), (batch, n, d))
         x = ad.reshape(tokens + ad.narrow(p["pos_emb"], 0, 0, n), (batch * n, d))
         key_mask = None
         if min(lengths) < n:
             padded = np.arange(n) >= np.asarray(lengths)[:, None]
             key_mask = np.where(padded, -np.inf, 0.0)[:, None, None, :]
+        drop = (c.dropout, rng) if train and c.dropout > 0.0 else None
         hidden = [x]
-        inv_sqrt = 1.0 / math.sqrt(head_dim)
-
-        def split_heads(t: Tensor) -> Tensor:  # [B*rows, D] -> [B, H, rows, d_head]
-            return ad.transpose(ad.reshape(t, (batch, -1, heads, head_dim)), (0, 2, 1, 3))
-
         for i in range(c.layers):
-            last = i == c.layers - 1
-            a = ad.layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            k = split_heads(a @ p[f"l{i}.wk"] + p[f"l{i}.wk_b"])
-            v = split_heads(a @ p[f"l{i}.wv"] + p[f"l{i}.wv_b"])
-            if last:  # keys and values from every row, the rest at the queries only
-                rows = (np.arange(batch)[:, None] * n + queries).reshape(-1)
-                x, a = ad.take_rows(x, rows), ad.take_rows(a, rows)
-            q = split_heads(a @ p[f"l{i}.wq"] + p[f"l{i}.wq_b"])
-            scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * inv_sqrt
-            if key_mask is not None:
-                scores = scores + key_mask
-            att = ad.softmax(scores, axis=-1)
-            o = ad.reshape(ad.transpose(att @ v, (0, 2, 1, 3)), x.shape)
-            o = o @ p[f"l{i}.wo"] + p[f"l{i}.wo_b"]
-            o = ad.dropout(o, c.dropout, rng, train)
-            x = x + o
-            f = ad.layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
-            f = ad.gelu(f @ p[f"l{i}.w1"] + p[f"l{i}.w1_b"]) @ p[f"l{i}.w2"] + p[f"l{i}.w2_b"]
-            f = ad.dropout(f, c.dropout, rng, train)
-            x = x + f
-            if last:
-                x = ad.layer_norm(x, p["final_ln_g"], p["final_ln_b"])
+            rows = (None if i < c.layers - 1
+                    else (np.arange(batch)[:, None] * n + queries).reshape(-1))
+            x = self._layer(i, x, batch, key_mask, rows, drop)
             hidden.append(x)
         return hidden
+
+    def _layer(self, i: int, x: Tensor, batch: int, key_mask: np.ndarray | None,
+               rows: np.ndarray | None, drop) -> Tensor:
+        """Transformer layer i over x [B*n, D] as one graph node over x and
+        the layer's parameters, the last layer's final layer norm included.
+
+        `rows` (last layer only) are the flat rows the queries, the
+        feed-forward block and the final layer norm are computed at; keys and
+        values come from every row. `drop` is (rate, generator) in training
+        with dropout, else None. The forward runs the autodiff ops on plain
+        arrays, so it records nothing; the layer norm and GELU nodes keep
+        their closures, which the backward calls.
+        """
+        c = self.config
+        p = self.params
+        heads, head_dim = c.heads, c.model_dim // c.heads
+        inv_sqrt = 1.0 / math.sqrt(head_dim)
+        names = [f"l{i}.{name}" for name in LAYER_PARAMS]
+        if rows is not None:
+            names += ["final_ln_g", "final_ln_b"]
+        params = [p[name] for name in names]
+        (ln1_g, ln1_b, wq, wq_b, wk, wk_b, wv, wv_b, wo, wo_b,
+         ln2_g, ln2_b, w1, w1_b, w2, w2_b, *final_ln) = params
+
+        def split(t):  # [B*rows, D] -> [B, H, rows, d_head]
+            return t.reshape(batch, -1, heads, head_dim).transpose(0, 2, 1, 3)
+
+        def merge(t):  # [B, H, rows, d_head] -> [B*rows, D]
+            return t.transpose(0, 2, 1, 3).reshape(-1, c.model_dim)
+
+        def dropped(t):
+            if drop is None:
+                return t, None
+            rate, rng = drop
+            mask = (rng.random(t.shape) >= rate) / (1.0 - rate)
+            return t * mask, mask
+
+        ln1 = ad.layer_norm(x, ln1_g, ln1_b)
+        a = ln1.data
+        k = split(ad.matmul(a, wk).data + wk_b.data)
+        v = split(ad.matmul(a, wv).data + wv_b.data)
+        xq, aq = (x.data, a) if rows is None else (x.data[rows], a[rows])
+        q = split(ad.matmul(aq, wq).data + wq_b.data)
+        scores = ad.matmul(q, k.transpose(0, 1, 3, 2)).data * inv_sqrt
+        if key_mask is not None:
+            scores += key_mask
+        att = ad.softmax(scores, axis=-1).data
+        ctx = merge(ad.matmul(att, v).data)
+        o, mask1 = dropped(ad.matmul(ctx, wo).data + wo_b.data)
+        x1 = xq + o
+        ln2 = ad.layer_norm(x1, ln2_g, ln2_b)
+        f = ln2.data
+        act = ad.gelu(ad.matmul(f, w1).data + w1_b.data)
+        ff, mask2 = dropped(ad.matmul(act.data, w2).data + w2_b.data)
+        out = x1 + ff
+        if rows is not None:
+            final = ad.layer_norm(out, *final_ln)
+            out = final.data
+
+        def back(g):
+            final_grads = []
+            if rows is not None:
+                g, *final_grads = final._backward(g)
+            d_ff = g if mask2 is None else g * mask2
+            d_pre = act._backward(d_ff @ w2.data.T)[0]
+            d_x1, d_ln2_g, d_ln2_b = ln2._backward(d_pre @ w1.data.T)
+            d_x1 += g
+            d_o = d_x1 if mask1 is None else d_x1 * mask1
+            d_ctx = d_o @ wo.data.T
+            # FlashAttention's identity: rowsum(dP * P) = rowsum(dctx * ctx)
+            delta = (d_ctx * ctx).reshape(batch, -1, heads, head_dim).sum(axis=-1)
+            d_ctx = split(d_ctx)
+            d_v = merge(np.matmul(att.transpose(0, 1, 3, 2), d_ctx))
+            d_scores = np.matmul(d_ctx, v.transpose(0, 1, 3, 2))
+            d_scores -= delta.transpose(0, 2, 1)[..., None]
+            d_scores *= att
+            d_q = merge(np.matmul(d_scores, k)) * inv_sqrt
+            d_k = merge(np.matmul(d_scores.transpose(0, 1, 3, 2), q)) * inv_sqrt
+            grads = [aq.T @ d_q, d_q.sum(axis=0), a.T @ d_k, d_k.sum(axis=0),
+                     a.T @ d_v, d_v.sum(axis=0), ctx.T @ d_o, d_o.sum(axis=0),
+                     d_ln2_g, d_ln2_b, f.T @ d_pre, d_pre.sum(axis=0),
+                     act.data.T @ d_ff, d_ff.sum(axis=0), *final_grads]
+            d_a = d_k @ wk.data.T + d_v @ wv.data.T
+            d_aq = d_q @ wq.data.T
+            if rows is None:
+                d_a += d_aq
+                d_x = d_x1
+            else:  # query slots may repeat a row
+                np.add.at(d_a, rows, d_aq)
+                d_x = np.zeros_like(x.data)
+                np.add.at(d_x, rows, d_x1)
+            d_x_ln, d_ln1_g, d_ln1_b = ln1._backward(d_a)
+            d_x += d_x_ln
+            return [d_x, d_ln1_g, d_ln1_b, *grads]
+
+        return Tensor(out, (x, *params), back)
 
 
 class PaddedBatch:

@@ -208,13 +208,13 @@ class NerModel:
             features = Tensor(np.concatenate(frozen_features))
         else:
             features = self.token_features(tokens, ctxs, train=True, rng=rng)
-        packing = (None if self.bilstm is None
+        packing = (None if self.bilstm is None and self.crf is None
                    else Packing([len(gold) for gold in gold_ids]))
         emissions = self.emissions_from_features(features, packing)
         if self.crf is None:
             total = softmax_nll(emissions, [i for gold in gold_ids for i in gold])
         else:
-            total = crf_nll(emissions, gold_ids, self.crf)
+            total = crf_nll(emissions, gold_ids, packing, self.crf)
         loss = total * (1.0 / len(gold_ids))
         if not np.isfinite(loss.data):
             raise FloatingPointError("non-finite training loss")

@@ -226,23 +226,37 @@ def crf_log_z(emissions: Tensor, packing: Packing, crf: CrfParams) -> Tensor:
     return Tensor(log_z.sum(), (emissions, crf.transitions), back)
 
 
+def path_transitions(gold: np.ndarray, lengths, crf: CrfParams):
+    """(from, to) labels of every transition on the paths of sentences whose
+    labels `gold` holds one after another: sentence after sentence, START ->
+    its first label, ..., its last label -> STOP."""
+    # token t of sentence i moves to slot t + i, after the i transitions
+    # into STOP of the sentences before it
+    slots = np.arange(len(gold)) + np.repeat(np.arange(len(lengths)), lengths)
+    rows = np.full(len(gold) + len(lengths), crf.start)
+    rows[slots + 1] = gold
+    cols = np.full(len(gold) + len(lengths), crf.stop)
+    cols[slots] = gold
+    return rows, cols
+
+
 def crf_gold_score(emissions: Tensor, golds, crf: CrfParams) -> Tensor:
     """Summed unnormalized score of each sentence's path in `golds`:
     emissions plus START->...->STOP transitions."""
     n, num_labels = emissions.shape
-    lengths = [len(gold) for gold in golds]
     gold = _check_gold([i for path in golds for i in path], n, num_labels)
-    ends = np.cumsum(lengths)
-    rows = np.insert(gold, ends - lengths, crf.start)
-    cols = np.insert(gold, ends, crf.stop)
+    rows, cols = path_transitions(gold, [len(path) for path in golds], crf)
     return ad.tsum(ad.take_at(emissions, np.arange(n), gold)) \
         + ad.tsum(ad.take_at(crf.transitions, rows, cols))
 
 
-def crf_nll(emissions: Tensor, golds: list[list[int]], crf: CrfParams) -> Tensor:
+def crf_nll(emissions: Tensor, golds: list[list[int]], packing: Packing,
+            crf: CrfParams) -> Tensor:
     """Summed CRF negative log-likelihood of a batch: log Z - score(gold
-    path) of each sentence, the rows of sentence i holding `golds[i]`."""
-    packing = Packing([len(gold) for gold in golds])
+    path) of each sentence, the rows of sentence i holding `golds[i]`;
+    `packing` is the batch's, built from the lengths of `golds`."""
+    if [len(golds[i]) for i in packing.order] != packing.sorted_lengths:
+        raise ValueError("the packing does not hold the gold paths' lengths")
     return crf_log_z(emissions, packing, crf) - crf_gold_score(emissions, golds, crf)
 
 

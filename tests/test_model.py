@@ -12,11 +12,12 @@ import docner.context
 from docner import autodiff as ad
 from docner.context import ContextConfig
 from docner.corpus import TagScheme, parse_conll, spans_from_tags
-from docner.encoder import TransformerConfig, concat_word_embeddings, pool_layers
+from docner.encoder import (LAYER_PARAMS, TransformerConfig, concat_word_embeddings,
+                            pool_layers)
 from docner.experiments import ExperimentConfig, build_model
 from docner.model import NerModel, bioes_labels, predict_corpus
 from docner.synthetic import corpus_from_documents, overfit_corpus
-from docner.tagger import crf_gold_score, crf_nll, linear_head, softmax_nll
+from docner.tagger import Packing, crf_gold_score, crf_nll, linear_head, softmax_nll
 from docner.tokenizer import encode, train_vocab
 from docner.training import FineTuneConfig, train_finetune
 
@@ -103,22 +104,49 @@ class TestForwardPaths:
             sizes.append(graph_size(loss))
         assert sizes[0] == sizes[1]
 
+    def test_finetune_loss_graph_holds_one_node_per_encoder_layer(self, setup):
+        corpus, vocab = setup
+        model = NerModel(vocab, corpus.label_set, FOUR_LAYERS, head="crf",
+                         context=ContextConfig(window=6), seed=0)
+        sentences = list(corpus.sentences())[:3]
+        loss = model.batch_loss([s.texts for s in sentences],
+                                [model.contextualize(s, corpus) for s in sentences],
+                                [model.gold_ids(s, corpus.scheme) for s in sentences],
+                                rng=np.random.default_rng(0))
+        nodes = graph_nodes(loss)
+        p = model.encoder.params
+        readers = {}
+        for i in range(FOUR_LAYERS.layers):
+            names = [f"l{i}.{name}" for name in LAYER_PARAMS]
+            if i == FOUR_LAYERS.layers - 1:
+                names += ["final_ln_g", "final_ln_b"]
+            layer = {id(p[name]) for name in names}
+            [node] = [n for n in nodes if layer & {id(q) for q in n._parents}]
+            assert [id(q) for q in node._parents[1:]] == [id(p[name]) for name in names]
+            readers[i] = node
+        for i in range(1, FOUR_LAYERS.layers):  # each layer reads the one below
+            assert readers[i]._parents[0] is readers[i - 1]
+
     def test_feature_mode_needs_a_bilstm(self, setup):
         corpus, vocab = setup
         with pytest.raises(ValueError, match="bilstm_hidden"):
             NerModel(vocab, corpus.label_set, TINY, mode="feature", bilstm_hidden=0)
 
 
-def graph_size(root):
+def graph_nodes(root):
     """Distinct nodes reachable from `root` through `_parents`."""
-    seen = {id(root)}
+    seen = {id(root): root}
     stack = [root]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(seen.values())
+
+
+def graph_size(root):
+    return len(graph_nodes(root))
 
 
 def reference_sentence_loss(model, tokens, ctx, gold):
@@ -128,7 +156,7 @@ def reference_sentence_loss(model, tokens, ctx, gold):
     emissions = linear_head(concat_word_embeddings(reps, tokens, model.word_table),
                             model.head_w, model.head_b)
     if model.crf is not None:
-        return crf_nll(emissions, [gold], model.crf)
+        return crf_nll(emissions, [gold], Packing([len(gold)]), model.crf)
     return softmax_nll(emissions, gold)
 
 

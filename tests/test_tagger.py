@@ -8,7 +8,8 @@ from docner import autodiff as ad
 from docner.autodiff import Tensor
 from docner.tagger import (BiLstmParams, CrfParams, Packing, bilstm_forward,
                            crf_gold_score, crf_log_z, crf_nll, greedy_decode,
-                           linear_head, path_score, softmax_nll, viterbi)
+                           linear_head, path_score, path_transitions, softmax_nll,
+                           viterbi)
 
 import oracle_ops
 from oracle_ops import sigmoid, tanh
@@ -87,14 +88,14 @@ class TestGreedyDecode:
 class TestCrfNll:
     def test_single_token_single_label_zero_transitions(self):
         crf = CrfParams(1)
-        loss = crf_nll(Tensor([[2.5]]), [[0]], crf)
+        loss = crf_nll(Tensor([[2.5]]), [[0]], Packing([1]), crf)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_transitions_factorizes_into_softmax(self, rng):
         e = rng.normal(size=(2, 2))
         crf = CrfParams(2)
         gold = [1, 0]
-        loss = float(crf_nll(Tensor(e), [gold], crf).data)
+        loss = float(crf_nll(Tensor(e), [gold], Packing([len(gold)]), crf).data)
         expected = float(softmax_nll(Tensor(e), gold).data)
         assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -115,7 +116,7 @@ class TestCrfNll:
             e = rng.uniform(-2, 2, (n, num_labels))
             crf = random_crf(rng, num_labels)
             gold = list(rng.integers(0, num_labels, n))
-            loss = float(crf_nll(Tensor(e), [gold], crf).data)
+            loss = float(crf_nll(Tensor(e), [gold], Packing([len(gold)]), crf).data)
             assert loss >= -1e-12
             assert 0.0 < math.exp(-loss) <= 1.0 + 1e-12
 
@@ -130,13 +131,28 @@ class TestCrfNll:
     def test_label_out_of_range(self, rng):
         crf = CrfParams(2)
         with pytest.raises(ValueError):
-            crf_nll(Tensor(rng.normal(size=(2, 2))), [[0, 5]], crf)
+            crf_nll(Tensor(rng.normal(size=(2, 2))), [[0, 5]], Packing([2]), crf)
+
+    def test_packing_must_hold_the_gold_lengths(self, rng):
+        crf = CrfParams(2)
+        e = Tensor(rng.normal(size=(5, 2)))
+        with pytest.raises(ValueError, match="packing"):
+            crf_nll(e, [[0, 1], [1, 0, 1]], Packing([3, 2]), crf)
+
+    @pytest.mark.parametrize("lengths", [[1], [4], [3, 1, 2], [1, 1], [2, 5, 1, 5]])
+    def test_path_transitions_match_insert_construction(self, rng, lengths):
+        crf = CrfParams(3)
+        gold = rng.integers(0, 3, sum(lengths))
+        ends = np.cumsum(lengths)
+        rows, cols = path_transitions(gold, lengths, crf)
+        np.testing.assert_array_equal(rows, np.insert(gold, ends - lengths, crf.start))
+        np.testing.assert_array_equal(cols, np.insert(gold, ends, crf.stop))
 
     def test_gradients_pass_finite_difference_check(self, rng):
         e = Tensor(rng.uniform(-2, 2, (4, 5)))
         crf = random_crf(rng, 5)
         gold = list(rng.integers(0, 5, 4))
-        err = ad.grad_check(lambda: crf_nll(e, [gold], crf),
+        err = ad.grad_check(lambda: crf_nll(e, [gold], Packing([len(gold)]), crf),
                             [e, crf.transitions], epsilon=1e-5)
         assert err < 1e-6
 
@@ -298,7 +314,8 @@ def reference_crf_log_z(emissions, crf):
         (1, num_labels))
     alpha = start_row + ad.take_rows(emissions, [0])
     for t in range(1, n):
-        scores = ad.reshape(alpha, (num_labels, 1)) + core
+        # [from, to]: alpha repeated along `to` as a full-size operand
+        scores = ad.concat([ad.reshape(alpha, (num_labels, 1))] * num_labels, axis=1) + core
         alpha = ad.reshape(ad.log_sum_exp(scores, axis=0), (1, num_labels)) \
             + ad.take_rows(emissions, [t])
     return ad.tsum(ad.log_sum_exp(alpha + stop_col, axis=1))
@@ -520,7 +537,7 @@ class TestRaggedBatch:
         e = Tensor(rng.uniform(-2, 2, (sum(lengths), 4)))
         golds = [list(rng.integers(0, 4, n)) for n in lengths]
         assert_batch_matches_oracle(
-            lambda: crf_nll(e, golds, crf),
+            lambda: crf_nll(e, golds, Packing(lengths), crf),
             lambda: sum_of([
                 oracle_ops.crf_log_z(s, crf) - crf_gold_score(s, [gold], crf)
                 for s, gold in zip(per_sentence(lengths, lambda s: s, e), golds)]),
