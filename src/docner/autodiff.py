@@ -290,10 +290,9 @@ def log_sum_exp(a: Tensor, axis: int) -> Tensor:
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+    d = a.data - a.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)  # np.var's steps
+    xhat = d * inv
     y = xhat * gain.data + bias.data
 
     def back(g):

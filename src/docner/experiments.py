@@ -249,20 +249,3 @@ def _write_sweep_files(out_dir: Path, results: list[ExperimentResult]) -> None:
     (out_dir / "sweep.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
     (out_dir / "sweep.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
-
-def variant_grid(base: ExperimentConfig) -> list[ExperimentConfig]:
-    """The eight head x word-embedding x document-feature combinations."""
-    variants = []
-    for head in ("linear", "crf"):
-        for use_we in (False, True):
-            for use_doc in (False, True):
-                name = f"{base.mode}-{head}"
-                if use_we:
-                    name += "+we"
-                if use_doc:
-                    name += "+doc"
-                window = base.context.window if use_doc else 0
-                variants.append(dataclasses.replace(
-                    base, name=name, head=head, use_word_embeddings=use_we,
-                    context=dataclasses.replace(base.context, window=window)))
-    return variants

@@ -11,9 +11,13 @@ running at step t are the first k_t of that order. Packed rows are time
 major: step 0's k_0 rows, then step 1's k_1 rows, and so on, which is the
 [n_max, B] grid of (step, sentence) without its padding. Each op gathers
 its inputs into that layout once, steps through contiguous slices of it,
-and scatters its results back to the flat rows; no row of a running
-sentence ever reads a row of one that has ended, so there are no masks.
-A batch of one sentence is the per-sentence arithmetic, bit for bit.
+and scatters its results back to the flat rows. Every recursion carries
+its state one way: the k_t sentences of step t are the first k_t rows of
+step t - 1, so a step reads its predecessor (going backward, its
+successor) from the packed array it writes, and each sentence's last step
+sits at its `Packing.last` row. No row of a running sentence ever reads a
+row of one that has ended, so there are no masks. A batch of one sentence
+is the per-sentence arithmetic, bit for bit.
 
 The CRF log partition (forward algorithm; its gradient is the label
 marginals from the forward-backward algorithm) and the BiLSTM (both
@@ -27,9 +31,6 @@ Losses take emission Tensors and record a graph; the decoders
 """
 
 from __future__ import annotations
-
-import functools
-import itertools
 
 import numpy as np
 from scipy.special import expit
@@ -108,7 +109,9 @@ class Packing:
     rows are consecutive in the flat [T, ...] inputs. `order` lists the
     input indices longest first (ties keep input order) and `sorted_lengths`
     their lengths. Step t runs the first bounds[t + 1] - bounds[t] sentences
-    of that order, at packed rows bounds[t]:bounds[t + 1].
+    of that order, at packed rows bounds[t]:bounds[t + 1], so the sentences
+    of step t are the first rows of step t - 1: a recursion reads the step
+    before (or after) a row from the packed array it writes.
 
     For every packed row, `forward` holds the flat row it reads going
     forward and `backward` the one it reads going backward, where each
@@ -119,53 +122,38 @@ class Packing:
     """
 
     def __init__(self, lengths):
-        lengths = [int(n) for n in lengths]
-        if not lengths or min(lengths) < 1:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        order = np.argsort(-lengths, kind="stable")
+        sorted_lengths = lengths[order]
+        if not len(order) or sorted_lengths[-1] < 1:
             raise ValueError("a batch needs at least one sentence, and every "
                              "sentence at least one token")
-        self.order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
-        self.sorted_lengths = [lengths[i] for i in self.order]
-        lasts = [end - 1 for end in itertools.accumulate(lengths)]
-        lasts = [lasts[i] for i in self.order]
-        firsts = [last + 1 - n for last, n in zip(lasts, self.sorted_lengths)]
-        # sentences running at each step: all of them until the shortest
-        # ends, then one fewer each time the next shortest ends
-        sizes = [len(lengths)] * self.sorted_lengths[-1]
-        for k in range(len(lengths) - 1, 0, -1):
-            sizes += [k] * (self.sorted_lengths[k - 1] - self.sorted_lengths[k])
-        self.bounds = [0, *itertools.accumulate(sizes)]
-        self.forward = np.array([first + t for t, k in enumerate(sizes)
-                                 for first in firsts[:k]], dtype=np.intp)
-        self.backward = np.array([last - t for t, k in enumerate(sizes)
-                                  for last in lasts[:k]], dtype=np.intp)
-
-    @functools.cached_property
-    def _sizes(self) -> np.ndarray:
-        return np.diff(self.bounds)
-
-    @functools.cached_property
-    def rank(self) -> np.ndarray:
-        return np.arange(self.rows) - np.repeat(self.bounds[:-1], self._sizes)
-
-    @functools.cached_property
-    def previous(self) -> np.ndarray:
-        return (np.arange(len(self.order), self.rows)
-                - np.repeat(self._sizes[:-1], self._sizes[1:]))
-
-    @functools.cached_property
-    def last(self) -> np.ndarray:
-        return np.array([self.bounds[n - 1] + r
-                         for r, n in enumerate(self.sorted_lengths)], dtype=np.intp)
+        # step t runs the sentences longer than t, from packed row bounds[t]
+        sizes = np.searchsorted(-sorted_lengths, -np.arange(sorted_lengths[0]))
+        bounds = np.cumsum(sizes) - sizes
+        step = np.repeat(np.arange(len(sizes)), sizes)  # of each packed row
+        self.rank = np.arange(len(step)) - bounds[step]
+        ends = np.cumsum(lengths)[order]  # one past each sentence's last flat row
+        self.forward = (ends - sorted_lengths)[self.rank] + step
+        self.backward = ends[self.rank] - step - 1
+        first = len(order)  # rows of step 0
+        self.previous = bounds[step[first:] - 1] + self.rank[first:]
+        self.last = bounds[sorted_lengths - 1] + np.arange(first)
+        self.order, self.sorted_lengths = order.tolist(), sorted_lengths.tolist()
+        self.bounds = [*bounds.tolist(), len(step)]
 
     @property
     def rows(self) -> int:
         return self.bounds[-1]
 
 
-def _check_rows(scores: np.ndarray, packing: Packing) -> None:
-    if scores.shape[0] != packing.rows:
-        raise ValueError(f"{scores.shape[0]} rows do not match the batch's "
-                         f"{packing.rows} tokens")
+def _check_shape(x: np.ndarray, rows: int, crf: CrfParams | None = None) -> None:
+    """Raise unless `x` has `rows` rows and, given a CRF, one column per
+    label: a wider matrix would decode START/STOP as labels."""
+    if x.shape[0] != rows:
+        raise ValueError(f"{x.shape[0]} rows do not match the batch's {rows} tokens")
+    if crf is not None and x.shape[1] != crf.num_labels:
+        raise ValueError("emission width does not match the CRF label count")
 
 
 def crf_log_z(emissions: Tensor, packing: Packing, crf: CrfParams) -> Tensor:
@@ -177,10 +165,8 @@ def crf_log_z(emissions: Tensor, packing: Packing, crf: CrfParams) -> Tensor:
     gradient, pairwise ones into transitions[:L, :L], first-token ones into
     row START and last-token ones into column STOP.
     """
-    _check_rows(emissions.data, packing)
-    num_labels = emissions.shape[1]
-    if num_labels != crf.num_labels:
-        raise ValueError("emission width does not match the CRF label count")
+    _check_shape(emissions.data, packing.rows, crf)
+    num_labels = crf.num_labels
     e = emissions.data[packing.forward]  # packed
     trans = crf.transitions.data
     core = trans[:num_labels, :num_labels]
@@ -190,9 +176,7 @@ def crf_log_z(emissions: Tensor, packing: Packing, crf: CrfParams) -> Tensor:
 
     alphas = np.empty_like(e)
     alphas[:first] = trans[crf.start, :num_labels] + e[:first]
-    for t in range(1, len(bounds) - 1):
-        a, z = bounds[t], bounds[t + 1]
-        before = bounds[t - 1]
+    for before, a, z in zip(bounds, bounds[1:-1], bounds[2:]):
         scores = alphas[before:before + z - a, :, None] + core  # [sentence, from, to]
         m = scores.max(axis=1)
         alphas[a:z] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1)) + e[a:z]
@@ -243,8 +227,9 @@ def path_transitions(gold: np.ndarray, lengths, crf: CrfParams):
 def crf_gold_score(emissions: Tensor, golds, crf: CrfParams) -> Tensor:
     """Summed unnormalized score of each sentence's path in `golds`:
     emissions plus START->...->STOP transitions."""
-    n, num_labels = emissions.shape
-    gold = _check_gold([i for path in golds for i in path], n, num_labels)
+    n = sum(len(path) for path in golds)
+    _check_shape(emissions.data, n, crf)
+    gold = _check_gold([i for path in golds for i in path], n, crf.num_labels)
     rows, cols = path_transitions(gold, [len(path) for path in golds], crf)
     return ad.tsum(ad.take_at(emissions, np.arange(n), gold)) \
         + ad.tsum(ad.take_at(crf.transitions, rows, cols))
@@ -270,28 +255,28 @@ def viterbi(scores: np.ndarray, packing: Packing,
             crf: CrfParams) -> tuple[list[list[int]], list[float]]:
     """Each sentence's highest-scoring label path and its score, in input order.
 
-    Ties break toward the lowest label index at every backtracking step.
+    Like `crf_log_z`, a step reads its predecessors' deltas from the packed
+    rows it writes, and the STOP transition reads each sentence's last
+    step at `packing.last`. Ties break toward the lowest label index at
+    every backtracking step.
     """
-    _check_rows(scores, packing)
-    num_labels = scores.shape[1]
+    _check_shape(scores, packing.rows, crf)
+    num_labels = crf.num_labels
     trans = crf.transitions.data
     into = trans[:num_labels, :num_labels].T.copy()  # [to, from], contiguous
     s = scores[packing.forward]  # packed
     bounds = packing.bounds
 
-    delta = trans[crf.start, :num_labels] + s[:bounds[1]]
-    ended = []  # deltas of sentences that ended, in the order they ended
+    deltas = np.empty_like(s)
+    deltas[:bounds[1]] = trans[crf.start, :num_labels] + s[:bounds[1]]
+    from_rows = deltas[:, None, :]
     backptr = np.empty(s.shape, dtype=np.intp)
-    for a, z in zip(bounds[1:-1], bounds[2:]):
-        if z - a < len(delta):  # the shortest running sentences ended
-            ended.append(delta[z - a:])
-            delta = delta[:z - a]
+    for before, a, z in zip(bounds, bounds[1:-1], bounds[2:]):
         # [sentence, to, from]: max and argmax run along contiguous rows
-        cand = delta[:, None, :] + into
+        cand = from_rows[before:before + z - a] + into
         backptr[a:z] = cand.argmax(axis=2)
-        delta = cand.max(axis=2) + s[a:z]
-    final = (np.concatenate([delta] + ended[::-1]) if ended else delta) \
-        + trans[:num_labels, crf.stop]
+        np.add(cand.max(axis=2), s[a:z], out=deltas[a:z])
+    final = deltas[packing.last] + trans[:num_labels, crf.stop]
 
     pointers = backptr.tolist()
     paths: list[list[int]] = [[] for _ in packing.order]
@@ -352,14 +337,16 @@ def bilstm_forward(features: Tensor, packing: Packing, params: BiLstmParams) -> 
 
     The forward direction reads the packed rows `packing.forward`, the
     backward one `packing.backward`; both step together, stacked on a
-    leading axis of 2, since step t runs the same sentences in each. A
-    single graph node over (features @ w, u, b) of both directions whose
-    backward is backpropagation through time. Under no_grad the node drops
+    leading axis of 2, since step t runs the same sentences in each. A step
+    reads its predecessors' hidden states and cells from the packed rows it
+    writes, and backpropagation through time reads its successors' gradients
+    the same way; step 0 starts from zero states. A single graph node over
+    (features @ w, u, b) of both directions. Under no_grad the node drops
     its backward and the activations it stored with it.
     """
     p, hidden = params.params, params.hidden
     pre_all = [features @ p[f"{d}.w"] for d in ("fw", "bw")]  # one matmul each
-    _check_rows(pre_all[0].data, packing)
+    _check_shape(pre_all[0].data, packing.rows)
     rows = (packing.forward, packing.backward)
     x = np.empty((2, packing.rows, 4 * hidden))  # [direction, packed row, 4H]
     for pre, r, packed in zip(pre_all, rows, x):
@@ -369,25 +356,28 @@ def bilstm_forward(features: Tensor, packing: Packing, params: BiLstmParams) -> 
     u_fw, u_bw = p["fw.u"].data, p["bw.u"].data
     b_data = np.array([p["fw.b"].data[None], p["bw.b"].data[None]])
     bounds, size = packing.bounds, packing.rows
-    h = np.zeros((2, bounds[1], hidden))
-    c = np.zeros((2, bounds[1], hidden))
-    hu = np.empty((2, bounds[1], 4 * hidden))
     gates = np.empty((2, size, 4 * hidden))  # activations, gate order (i, f, g, o)
     cells = np.empty((2, size, hidden))
     out = np.empty((2, size, hidden))
     by_gate = gates.reshape(2, size, 4, hidden)
     cell_gate = slice(2 * hidden, 3 * hidden)
-    for a, z in zip(bounds[:-1], bounds[1:]):
-        if z - a < h.shape[1]:  # the shortest running sentences ended
-            h, c, hu = h[:, :z - a], c[:, :z - a], hu[:, :z - a]
-        np.matmul(h[0], u_fw, out=hu[0])
-        np.matmul(h[1], u_bw, out=hu[1])
-        pre = x[:, a:z] + hu + b_data
+    for t in range(len(bounds) - 1):
+        a, z = bounds[t], bounds[t + 1]
+        pre = x[:, a:z]
+        if t:
+            before = slice(bounds[t - 1], bounds[t - 1] + z - a)
+            hu = gates[:, a:z]  # scratch until the activations overwrite it
+            np.matmul(out[0, before], u_fw, out=hu[0])
+            np.matmul(out[1, before], u_bw, out=hu[1])
+            pre = pre + hu
+        pre = pre + b_data
         act = expit(pre, out=gates[:, a:z])
         np.tanh(pre[..., cell_gate], out=act[..., cell_gate])
         i, f, g, o = by_gate[:, a:z].transpose(2, 0, 1, 3)
-        c = np.add(f * c, i * g, out=cells[:, a:z])
-        h = np.multiply(o, np.tanh(c), out=out[:, a:z])
+        c = np.multiply(i, g, out=cells[:, a:z])
+        if t:
+            c += f * cells[:, before]
+        np.multiply(o, np.tanh(c), out=out[:, a:z])
     flat_out = np.empty((size, 2 * hidden))
     flat_out[rows[0], :hidden] = out[0]
     flat_out[rows[1], hidden:] = out[1]
@@ -406,24 +396,21 @@ def bilstm_forward(features: Tensor, packing: Packing, params: BiLstmParams) -> 
                           i * (1.0 - g * g)], axis=2)  # [2, rows, 3, H]
         by_dh = tanh_c * o * (1.0 - o)
         dc_by_dh = o * (1.0 - tanh_c * tanh_c)
-        d_out = np.array([d_flat[rows[0], :hidden], d_flat[rows[1], hidden:]])
+        dh = np.array([d_flat[rows[0], :hidden], d_flat[rows[1], hidden:]])
+        dc = np.empty_like(cells)
         d_pre = np.empty_like(gates)
         d_by_gate = d_pre.reshape(by_gate.shape)
-        dh_rec, dc, f_next = (np.zeros((2, bounds[-1] - bounds[-2], hidden))
-                              for _ in range(3))
-        for a, z in zip(reversed(bounds[:-1]), reversed(bounds[1:])):
-            if z - a > dc.shape[1]:  # sentences whose last step this is join
-                joining = np.zeros((2, z - a - dc.shape[1], hidden))
-                dh_rec, dc, f_next = (np.concatenate([v, joining], axis=1)
-                                      for v in (dh_rec, dc, f_next))
-            dh = d_out[:, a:z] + dh_rec
-            dc = dc * f_next + dh * dc_by_dh[:, a:z]
-            np.multiply(by_dc[:, a:z], dc[:, :, None], out=d_by_gate[:, a:z, :3])
-            np.multiply(dh, by_dh[:, a:z], out=d_by_gate[:, a:z, 3])
-            dh_rec = np.empty_like(dc)
-            np.matmul(d_pre[0, a:z], u_fw.T, out=dh_rec[0])
-            np.matmul(d_pre[1, a:z], u_bw.T, out=dh_rec[1])
-            f_next = f[:, a:z]
+        ends = bounds[2:] + [size]  # step t + 1 ends at ends[t]; none follows the last
+        for t in range(len(bounds) - 2, -1, -1):
+            a, z = bounds[t], bounds[t + 1]
+            # step t + 1 runs on with the first rows of step t
+            after, on = slice(z, ends[t]), slice(a, a + ends[t] - z)
+            dh[0, on] += d_pre[0, after] @ u_fw.T
+            dh[1, on] += d_pre[1, after] @ u_bw.T
+            np.multiply(dh[:, a:z], dc_by_dh[:, a:z], out=dc[:, a:z])
+            dc[:, on] += dc[:, after] * f[:, after]
+            np.multiply(by_dc[:, a:z], dc[:, a:z, None], out=d_by_gate[:, a:z, :3])
+            np.multiply(dh[:, a:z], by_dh[:, a:z], out=d_by_gate[:, a:z, 3])
         grads = []
         for d in range(2):
             # back to token order, so the weight gradients sum tokens in that order

@@ -162,6 +162,19 @@ class TestSoftmax:
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
 
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(532, 64), (14, 64), (3, 7), (5, 1)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_the_np_var_formula_bit_for_bit(self, rng, shape, scale):
+        a = rng.normal(size=shape) * scale + scale
+        gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        mu = a.mean(axis=-1, keepdims=True)
+        var = a.var(axis=-1, keepdims=True)
+        expected = (a - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
+        out = ad.layer_norm(Tensor(a), Tensor(gain), Tensor(bias)).data
+        assert np.array_equal(out, expected)
+
+
 class TestConcatBackward:
     def test_gradient_splits_exactly(self, rng):
         a = Tensor(rng.normal(size=(2, 3)))

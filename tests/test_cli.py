@@ -269,19 +269,3 @@ class TestStageErrors:
         with pytest.raises(StageError, match="load corpora"):
             main(["train", "--config", str(config)])
 
-
-class TestVariantGrid:
-    def test_eight_rows_cover_the_table_axes(self, tmp_path):
-        from docner.experiments import ExperimentConfig, variant_grid
-
-        paths = write_corpus_files(tmp_path)
-        base = ExperimentConfig(train_path=paths["train"], seeds=[1])
-        grid = variant_grid(base)
-        assert len(grid) == 8
-        names = [g.name for g in grid]
-        assert len(set(names)) == 8
-        assert sum(g.head == "crf" for g in grid) == 4
-        assert sum(g.use_word_embeddings for g in grid) == 4
-        assert sum(g.context.window > 0 for g in grid) == 4
-        for g in grid:
-            assert (g.context.window > 0) == g.name.endswith("+doc")

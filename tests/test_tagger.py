@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docner import autodiff as ad
 from docner.autodiff import Tensor
@@ -208,6 +210,18 @@ class TestViterbi:
     def test_all_equal_scores_decode_to_label_zero(self):
         crf = CrfParams(3)
         assert decode_one(np.zeros((4, 3)), crf)[0] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("width", [3, 7])
+    def test_score_width_must_match_the_label_count(self, rng, width):
+        """Two columns short or over 5 labels: a wider matrix would decode
+        the START and STOP states as labels."""
+        crf = random_crf(rng, 5)
+        scores = rng.normal(size=(4, width))
+        for run in (lambda: decode_one(scores, crf),
+                    lambda: one_sentence_log_z(scores, crf),
+                    lambda: path_score(scores, [0, 1, 2, 0], crf)):
+            with pytest.raises(ValueError, match="CRF label count"):
+                run()
 
 
 class TestConstrainedTransitions:
@@ -441,6 +455,30 @@ class TestPacking:
     def test_empty_batch_or_sentence_rejected(self, lengths):
         with pytest.raises(ValueError, match="at least one"):
             Packing(lengths)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=8))
+    def test_matches_the_grid_without_padding(self, lengths):
+        """Every field equals a brute-force build from the definition: the
+        [n_max, B] grid of (step, sentence) read time major, padding skipped."""
+        order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+        starts = [sum(lengths[:i]) for i in order]
+        cells = [(t, r) for t in range(max(lengths)) for r in range(len(order))
+                 if t < lengths[order[r]]]
+        row = {cell: k for k, cell in enumerate(cells)}
+        packing = Packing(lengths)
+        assert packing.order == order
+        assert packing.sorted_lengths == [lengths[i] for i in order]
+        assert packing.bounds == [sum(step < t for step, _ in cells)
+                                  for t in range(max(lengths) + 1)]
+        assert packing.rows == len(cells)
+        assert packing.forward.tolist() == [starts[r] + t for t, r in cells]
+        assert packing.backward.tolist() == [starts[r] + lengths[order[r]] - 1 - t
+                                             for t, r in cells]
+        assert packing.rank.tolist() == [r for _, r in cells]
+        assert packing.previous.tolist() == [row[t - 1, r] for t, r in cells if t]
+        assert packing.last.tolist() == [row[lengths[i] - 1, r]
+                                         for r, i in enumerate(order)]
 
 
 RAGGED = [[1], [3, 1], [1, 1, 1], [2, 5, 5, 1, 3], [4, 1, 7, 2, 7, 3, 1, 6],
