@@ -174,6 +174,23 @@ class TestLayerNorm:
         out = ad.layer_norm(Tensor(a), Tensor(gain), Tensor(bias)).data
         assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("shape", [(532, 64), (14, 64), (3, 7), (5, 1)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_backward_matches_the_np_mean_formula_bit_for_bit(self, rng, shape, scale):
+        a = rng.normal(size=shape) * scale + scale
+        gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        g = rng.normal(size=shape)
+        inv = 1.0 / np.sqrt(a.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (a - a.mean(axis=-1, keepdims=True)) * inv
+        gxhat = g * gain
+        expected_dx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                             - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        out = ad.layer_norm(Tensor(a), Tensor(gain), Tensor(bias))
+        dx, dgain, dbias = out._backward(g)
+        assert np.array_equal(dx, expected_dx)
+        assert np.array_equal(dgain, (g * xhat).sum(axis=0))
+        assert np.array_equal(dbias, g.sum(axis=0))
+
 
 class TestConcatBackward:
     def test_gradient_splits_exactly(self, rng):
