@@ -6,10 +6,11 @@ keeps references to its parents together with a gradient closure. Calling
 topological order, accumulating gradients into ``.grad``.
 
 The engine is deliberately small: dense float64 arrays only, no views into
-shared storage, no in-place ops on tracked tensors. A leaf, trainable or
-frozen, is ``Tensor(array)``; ops also accept plain arrays and wrap them
-as leaves. Inference code should run inside ``no_grad()`` so no graph is
-recorded.
+shared storage, no in-place ops on tracked tensors. A variable, trainable
+or frozen, is ``Tensor(array)``. An operand passed as a plain array is a
+constant: the op records it as no parent and computes no gradient for it,
+so code that needs no gradient for an input passes its array. Inference
+code should run inside ``no_grad()`` so no graph is recorded.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -136,108 +133,125 @@ class Tensor:
         return matmul(self, other)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _data(x) -> np.ndarray:
+    """A Tensor's array, or the constant `x` as given."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _node(data, *operands) -> Tensor:
+    """An op's output over `operands`, (operand, gradient function) pairs.
+
+    While recording, its parents are the operands that are Tensors, and its
+    backward maps the upstream gradient through their gradient functions.
+    A plain-array operand is a constant: no parent, and its gradient
+    function is never called.
+    """
+    out = Tensor(data)
+    if _GRAD_ENABLED:
+        variables = [(t, grad) for t, grad in operands if isinstance(t, Tensor)]
+        if variables:
+            out._parents = tuple(t for t, _ in variables)
+            grads = [grad for _, grad in variables]
+            out._backward = lambda g: [grad(g) for grad in grads]
+    return out
 
 
 # -- elementwise and shape ops ------------------------------------------
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
-    return out
+    a_data, b_data = _data(a), _data(b)
+    return _node(a_data + b_data,
+                 (a, lambda g: _unbroadcast(g, a_data.shape)),
+                 (b, lambda g: _unbroadcast(g, b_data.shape)))
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.data * b.data, (a, b),
-                  lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                             _unbroadcast(g * a.data, b.data.shape)))
+    a_data, b_data = _data(a), _data(b)
+    return _node(a_data * b_data,
+                 (a, lambda g: _unbroadcast(g * b_data, a_data.shape)),
+                 (b, lambda g: _unbroadcast(g * a_data, b_data.shape)))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def back(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
-
-    return Tensor(np.matmul(a.data, b.data), (a, b), back)
+def matmul(a, b) -> Tensor:
+    a_data, b_data = _data(a), _data(b)
+    return _node(np.matmul(a_data, b_data),
+                 (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)),
+                                            a_data.shape)),
+                 (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g),
+                                            b_data.shape)))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+def reshape(a, shape) -> Tensor:
+    a_data = _data(a)
+    return _node(a_data.reshape(shape), (a, lambda g: g.reshape(a_data.shape)))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+    datas = [_data(t) for t in tensors]
+    ends = np.cumsum([d.shape[axis] for d in datas]).tolist()
+    pieces = [(slice(None),) * (axis % datas[0].ndim) + (slice(end - d.shape[axis], end),)
+              for d, end in zip(datas, ends)]
+    return _node(np.concatenate(datas, axis=axis),
+                 *[(t, lambda g, piece=piece: np.ascontiguousarray(g[piece]))
+                   for t, piece in zip(tensors, pieces)])
 
-    def back(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
 
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+def narrow(a, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice along one axis; backward pads the complement with zeros."""
-    a = as_tensor(a)
-    idx = [slice(None)] * a.data.ndim
+    a_data = _data(a)
+    idx = [slice(None)] * a_data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
     def back(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros_like(a_data)
         full[idx] = g
-        return (full,)
+        return full
 
-    return Tensor(a.data[idx].copy(), (a,), back)
+    return _node(a_data[idx].copy(), (a, back))
 
 
-def take_rows(a: Tensor, indices) -> Tensor:
+def take_rows(a, indices) -> Tensor:
     """Row gather: out[i] = a[indices[i]]. Backward scatter-adds."""
-    a = as_tensor(a)
+    a_data = _data(a)
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise IndexError(f"row index out of range for shape {a.data.shape}")
+    # one check for both ends: a negative index reads as a huge unsigned one
+    if idx.size and np.maximum.reduce(idx.view(np.uintp)) >= a_data.shape[0]:
+        raise IndexError(f"row index out of range for shape {a_data.shape}")
 
     def back(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros_like(a_data)
         np.add.at(full, idx, g)
-        return (full,)
+        return full
 
-    return Tensor(a.data[idx], (a,), back)
+    return _node(a_data[idx], (a, back))
 
 
-def take_at(a: Tensor, rows, cols) -> Tensor:
+def take_at(a, rows, cols) -> Tensor:
     """Elementwise gather from a 2-D tensor: out[i] = a[rows[i], cols[i]]."""
-    a = as_tensor(a)
+    a_data = _data(a)
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
 
     def back(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros_like(a_data)
         np.add.at(full, (rows, cols), g)
-        return (full,)
+        return full
 
-    return Tensor(a.data[rows, cols], (a,), back)
+    return _node(a_data[rows, cols], (a, back))
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+    a_data = _data(a)
 
     def back(g):
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
+            return np.broadcast_to(g, a_data.shape).copy()
         g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.data.shape).copy(),)
+        return np.broadcast_to(g2, a_data.shape).copy()
 
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
+    return _node(a_data.sum(axis=axis, keepdims=keepdims), (a, back))
 
 
 # -- nonlinearities ------------------------------------------------------
@@ -247,64 +261,82 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def gelu(a: Tensor) -> Tensor:
+def gelu(a) -> Tensor:
     """Exact Gaussian-error-function GELU."""
-    a = as_tensor(a)
-    cdf = 0.5 * (1.0 + _special.erf(a.data / _SQRT2))
-    y = a.data * cdf
+    a_data = _data(a)
+    cdf = a_data / _SQRT2
+    _special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def back(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        return (g * (cdf + a.data * pdf),)
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a_data * a_data)
+        return g * (cdf + a_data * pdf)
 
-    return Tensor(y, (a,), back)
+    return _node(a_data * cdf, (a, back))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis`."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    a_data = _data(a)
+    y = a_data - np.maximum.reduce(a_data, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=axis, keepdims=True)
 
     def back(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        return y * (g - dot)
 
-    return Tensor(y, (a,), back)
+    return _node(y, (a, back))
 
 
-def log_sum_exp(a: Tensor, axis: int) -> Tensor:
+def log_sum_exp(a, axis: int) -> Tensor:
     """log(sum(exp(a))) along `axis`, which is dropped from the result;
     computed as m + log(sum(exp(a - m))), m = max(a) along `axis`."""
-    a = as_tensor(a)
-    if a.data.size == 0:
+    a_data = _data(a)
+    if a_data.size == 0:
         raise ValueError("log_sum_exp of an empty tensor")
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
+    m = a_data.max(axis=axis, keepdims=True)
+    e = np.exp(a_data - m)
     s = e.sum(axis=axis, keepdims=True)
     out = np.squeeze(m + np.log(s), axis=axis)
-    return Tensor(out, (a,), lambda g: (e / s * np.expand_dims(g, axis),))
+    return _node(out, (a, lambda g: e / s * np.expand_dims(g, axis)))
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    d = a.data - a.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((d * d).mean(axis=-1, keepdims=True) + eps)  # np.var's steps
-    xhat = d * inv
-    y = xhat * gain.data + bias.data
+def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine.
 
-    def back(g):
-        gxhat = g * gain.data
-        dx = inv * (gxhat
-                    - gxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
-        ggain = _unbroadcast(g * xhat, gain.data.shape)
-        gbias = _unbroadcast(g, bias.data.shape)
-        return dx, ggain, gbias
+    Each mean is one add-reduction divided in place by the row width, the
+    steps of np.mean and np.var without their Python wrappers.
+    """
+    a_data, gain_data, bias_data = _data(a), _data(gain), _data(bias)
+    width = a_data.shape[-1]
+    xhat = np.add.reduce(a_data, axis=-1, keepdims=True)
+    xhat /= width
+    xhat = np.subtract(a_data, xhat)
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    inv /= width
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    y = xhat * gain_data
+    y += bias_data
 
-    return Tensor(y, (a, gain, bias), back)
+    def back_a(g):
+        gxhat = g * gain_data
+        mean_g = np.add.reduce(gxhat, axis=-1, keepdims=True)
+        mean_g /= width
+        mean_gx = np.add.reduce(gxhat * xhat, axis=-1, keepdims=True)
+        mean_gx /= width
+        gxhat -= mean_g
+        gxhat -= xhat * mean_gx
+        gxhat *= inv
+        return gxhat
+
+    return _node(y, (a, back_a),
+                 (gain, lambda g: _unbroadcast(g * xhat, gain_data.shape)),
+                 (bias, lambda g: _unbroadcast(g, bias_data.shape)))
 
 
 # -- gradient checking ---------------------------------------------------

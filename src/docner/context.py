@@ -58,7 +58,8 @@ class ContextualizedSentence:
 
     def shifted_alignment(self) -> list[int]:
         """Token -> first-subtoken positions within the assembled input."""
-        return [self.core_start + a for a in self.core.first_subtoken_of_token]
+        start = self.core_start
+        return [start + a for a in self.core.first_subtoken_of_token]
 
 
 class SubtokenStream:

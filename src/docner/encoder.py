@@ -85,6 +85,11 @@ class TransformerEncoder:
         if c.layers > 0:
             p["final_ln_g"] = Tensor(np.ones(c.model_dim))
             p["final_ln_b"] = Tensor(np.zeros(c.model_dim))
+        # each layer's graph-node parameters, the last with the final layer norm
+        self.layer_params = [[p[f"l{i}.{name}"] for name in LAYER_PARAMS]
+                             for i in range(c.layers)]
+        if c.layers > 0:
+            self.layer_params[-1] += [p["final_ln_g"], p["final_ln_b"]]
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -134,18 +139,15 @@ class TransformerEncoder:
         `rows` (last layer only) are the flat rows the queries, the
         feed-forward block and the final layer norm are computed at; keys and
         values come from every row. `drop` is (rate, generator) in training
-        with dropout, else None. The forward runs the autodiff ops on plain
-        arrays, so it records nothing; the layer norm and GELU nodes keep
-        their closures, which the backward calls.
+        with dropout, else None. The forward hands the matmuls and the
+        softmax plain arrays, constants, so they record nothing; the layer
+        norm and GELU nodes take their inputs as Tensors and keep the
+        closures the backward calls.
         """
         c = self.config
-        p = self.params
         heads, head_dim = c.heads, c.model_dim // c.heads
         inv_sqrt = 1.0 / math.sqrt(head_dim)
-        names = [f"l{i}.{name}" for name in LAYER_PARAMS]
-        if rows is not None:
-            names += ["final_ln_g", "final_ln_b"]
-        params = [p[name] for name in names]
+        params = self.layer_params[i]
         (ln1_g, ln1_b, wq, wq_b, wk, wk_b, wv, wv_b, wo, wo_b,
          ln2_g, ln2_b, w1, w1_b, w2, w2_b, *final_ln) = params
 
@@ -164,24 +166,24 @@ class TransformerEncoder:
 
         ln1 = ad.layer_norm(x, ln1_g, ln1_b)
         a = ln1.data
-        k = split(ad.matmul(a, wk).data + wk_b.data)
-        v = split(ad.matmul(a, wv).data + wv_b.data)
+        k = split(ad.matmul(a, wk.data).data + wk_b.data)
+        v = split(ad.matmul(a, wv.data).data + wv_b.data)
         xq, aq = (x.data, a) if rows is None else (x.data[rows], a[rows])
-        q = split(ad.matmul(aq, wq).data + wq_b.data)
+        q = split(ad.matmul(aq, wq.data).data + wq_b.data)
         scores = ad.matmul(q, k.transpose(0, 1, 3, 2)).data * inv_sqrt
         if key_mask is not None:
             scores += key_mask
         att = ad.softmax(scores, axis=-1).data
         ctx = merge(ad.matmul(att, v).data)
-        o, mask1 = dropped(ad.matmul(ctx, wo).data + wo_b.data)
+        o, mask1 = dropped(ad.matmul(ctx, wo.data).data + wo_b.data)
         x1 = xq + o
-        ln2 = ad.layer_norm(x1, ln2_g, ln2_b)
+        ln2 = ad.layer_norm(Tensor(x1), ln2_g, ln2_b)
         f = ln2.data
-        act = ad.gelu(ad.matmul(f, w1).data + w1_b.data)
-        ff, mask2 = dropped(ad.matmul(act.data, w2).data + w2_b.data)
+        act = ad.gelu(Tensor(ad.matmul(f, w1.data).data + w1_b.data))
+        ff, mask2 = dropped(ad.matmul(act.data, w2.data).data + w2_b.data)
         out = x1 + ff
         if rows is not None:
-            final = ad.layer_norm(out, *final_ln)
+            final = ad.layer_norm(Tensor(out), *final_ln)
             out = final.data
 
         def back(g):

@@ -184,10 +184,11 @@ class NerModel:
                     features[i] = part
         return features
 
-    def emissions_from_features(self, features: Tensor,
+    def emissions_from_features(self, features: Tensor | np.ndarray,
                                 packing: Packing | None) -> Tensor:
         """Label scores of a batch's core tokens from its flat feature rows,
-        sentence after sentence; a BiLSTM steps the sentences together in
+        sentence after sentence, a Tensor or, with no gradient wanted for
+        them, a plain array; a BiLSTM steps the sentences together in
         `packing`, which only it reads."""
         if self.bilstm is not None:
             features = bilstm_forward(features, packing, self.bilstm)
@@ -205,7 +206,7 @@ class NerModel:
         if self.mode == "feature":
             if frozen_features is None:
                 frozen_features = self.frozen_features(tokens, ctxs)
-            features = Tensor(np.concatenate(frozen_features))
+            features = np.concatenate(frozen_features)  # a constant
         else:
             features = self.token_features(tokens, ctxs, train=True, rng=rng)
         packing = (None if self.bilstm is None and self.crf is None
@@ -238,7 +239,7 @@ class NerModel:
                        else Packing(lengths))
             with ad.no_grad():
                 scores = self.emissions_from_features(
-                    Tensor(np.concatenate([features[i] for i in picked])), packing).data
+                    np.concatenate([features[i] for i in picked]), packing).data
             if self.crf is not None:
                 ids = viterbi(scores, packing, self.crf)[0]
             else:

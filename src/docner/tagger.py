@@ -32,6 +32,8 @@ Losses take emission Tensors and record a graph; the decoders
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.special import expit
 
@@ -78,12 +80,13 @@ class CrfParams:
                     t[i, j] = penalty
 
 
-def linear_head(token_reps: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map from token representations to per-label emission scores."""
+def linear_head(token_reps, weights: Tensor, bias: Tensor) -> Tensor:
+    """Affine map from token representations, a Tensor or a constant array,
+    to per-label emission scores."""
     if token_reps.shape[-1] != weights.shape[0]:
         raise ValueError(f"representation width {token_reps.shape[-1]} does not "
                          f"match head weights {weights.shape}")
-    return token_reps @ weights + bias
+    return ad.matmul(token_reps, weights) + bias
 
 
 def greedy_decode(scores: np.ndarray) -> list[int]:
@@ -115,10 +118,11 @@ class Packing:
 
     For every packed row, `forward` holds the flat row it reads going
     forward and `backward` the one it reads going backward, where each
-    sentence starts at its own last token. `rank` holds the place in `order`
-    of each packed row's sentence, and `previous` the packed row of the same
-    sentence one step earlier, for each packed row after step 0. `last[r]`
-    is the packed row of the last step of sentence `order[r]`.
+    sentence starts at its own last token. `last[r]` is the packed row of
+    the last step of sentence `order[r]`. Only a backward pass reads `rank`,
+    the place in `order` of each packed row's sentence, and `previous`, the
+    packed row of the same sentence one step earlier for each packed row
+    after step 0, so they are built on first use.
     """
 
     def __init__(self, lengths):
@@ -128,23 +132,32 @@ class Packing:
         if not len(order) or sorted_lengths[-1] < 1:
             raise ValueError("a batch needs at least one sentence, and every "
                              "sentence at least one token")
-        # step t runs the sentences longer than t, from packed row bounds[t]
-        sizes = np.searchsorted(-sorted_lengths, -np.arange(sorted_lengths[0]))
-        bounds = np.cumsum(sizes) - sizes
-        step = np.repeat(np.arange(len(sizes)), sizes)  # of each packed row
-        self.rank = np.arange(len(step)) - bounds[step]
-        ends = np.cumsum(lengths)[order]  # one past each sentence's last flat row
-        self.forward = (ends - sorted_lengths)[self.rank] + step
-        self.backward = ends[self.rank] - step - 1
-        first = len(order)  # rows of step 0
-        self.previous = bounds[step[first:] - 1] + self.rank[first:]
-        self.last = bounds[sorted_lengths - 1] + np.arange(first)
+        # the [n_max, B] grid of (step, sentence), time major; a sentence
+        # runs at the steps before its length
+        steps = np.arange(sorted_lengths[0])[:, None]
+        running = steps < sorted_lengths
+        ends = np.add.accumulate(lengths)[order]  # one past each sentence's last flat row
+        self.forward = (steps + (ends - sorted_lengths))[running]
+        self.backward = (ends - 1 - steps)[running]
+        sizes = np.add.reduce(running, axis=1)
+        starts = np.add.accumulate(sizes) - sizes  # of each step's packed rows
+        self.last = starts[sorted_lengths - 1] + np.arange(len(order))
         self.order, self.sorted_lengths = order.tolist(), sorted_lengths.tolist()
-        self.bounds = [*bounds.tolist(), len(step)]
+        self.bounds = [*starts.tolist(), len(self.forward)]
 
     @property
     def rows(self) -> int:
         return self.bounds[-1]
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        bounds = np.asarray(self.bounds)
+        return np.arange(self.rows) - np.repeat(bounds[:-1], np.diff(bounds))
+
+    @cached_property
+    def previous(self) -> np.ndarray:
+        bounds = np.asarray(self.bounds)
+        return np.repeat(bounds[:-2], np.diff(bounds[1:])) + self.rank[self.bounds[1]:]
 
 
 def _check_shape(x: np.ndarray, rows: int, crf: CrfParams | None = None) -> None:
@@ -275,7 +288,7 @@ def viterbi(scores: np.ndarray, packing: Packing,
         # [sentence, to, from]: max and argmax run along contiguous rows
         cand = from_rows[before:before + z - a] + into
         backptr[a:z] = cand.argmax(axis=2)
-        np.add(cand.max(axis=2), s[a:z], out=deltas[a:z])
+        np.add(np.maximum.reduce(cand, axis=2), s[a:z], out=deltas[a:z])
     final = deltas[packing.last] + trans[:num_labels, crf.stop]
 
     pointers = backptr.tolist()
@@ -331,72 +344,77 @@ class BiLstmParams:
         return list(self.params.values())
 
 
-def bilstm_forward(features: Tensor, packing: Packing, params: BiLstmParams) -> Tensor:
+def bilstm_forward(features, packing: Packing, params: BiLstmParams) -> Tensor:
     """Both LSTM directions from zero states over every sentence of a batch;
     a token's output row is its forward then its backward hidden state.
 
     The forward direction reads the packed rows `packing.forward`, the
-    backward one `packing.backward`; both step together, stacked on a
-    leading axis of 2, since step t runs the same sentences in each. A step
-    reads its predecessors' hidden states and cells from the packed rows it
-    writes, and backpropagation through time reads its successors' gradients
-    the same way; step 0 starts from zero states. A single graph node over
-    (features @ w, u, b) of both directions. Under no_grad the node drops
-    its backward and the activations it stored with it.
+    backward one `packing.backward`; both step together, since step t runs
+    the same sentences in each. Packed arrays are [packed row, direction,
+    ...], so a step's rows, and the rows of the step before it that it
+    reads, are one contiguous block for both directions. A step reads its
+    predecessors' hidden states and cells from the packed rows it writes,
+    and backpropagation through time reads its successors' gradients the
+    same way; step 0 starts from zero states. A single graph node over
+    (features @ w, u, b) of both directions; features passed as a plain
+    array are a constant. Under no_grad the node drops its backward and the
+    activations it stored with it.
     """
     p, hidden = params.params, params.hidden
-    pre_all = [features @ p[f"{d}.w"] for d in ("fw", "bw")]  # one matmul each
+    pre_all = [ad.matmul(features, p[f"{d}.w"]) for d in ("fw", "bw")]  # one each
     _check_shape(pre_all[0].data, packing.rows)
     rows = (packing.forward, packing.backward)
-    x = np.empty((2, packing.rows, 4 * hidden))  # [direction, packed row, 4H]
-    for pre, r, packed in zip(pre_all, rows, x):
-        pre.data.take(r, axis=0, out=packed)
+    bounds, size = packing.bounds, packing.rows
+    x = np.empty((size, 2, 4 * hidden))  # [packed row, direction, 4H]
+    for d, (pre, r) in enumerate(zip(pre_all, rows)):
+        x[:, d] = pre.data[r]
     # one matmul per direction and step: stacking the recurrent weights would
     # copy [2, H, 4H] per call, which costs a short sentence more
     u_fw, u_bw = p["fw.u"].data, p["bw.u"].data
-    b_data = np.array([p["fw.b"].data[None], p["bw.b"].data[None]])
-    bounds, size = packing.bounds, packing.rows
-    gates = np.empty((2, size, 4 * hidden))  # activations, gate order (i, f, g, o)
-    cells = np.empty((2, size, hidden))
-    out = np.empty((2, size, hidden))
-    by_gate = gates.reshape(2, size, 4, hidden)
+    b_data = np.array([p["fw.b"].data, p["bw.b"].data])
+    gates = np.empty((size, 2, 4 * hidden))  # activations, gate order (i, f, g, o)
+    cells = np.empty((size, 2, hidden))
+    out = np.empty((size, 2, hidden))
     cell_gate = slice(2 * hidden, 3 * hidden)
     for t in range(len(bounds) - 1):
         a, z = bounds[t], bounds[t + 1]
-        pre = x[:, a:z]
+        pre = x[a:z]
+        act = gates[a:z]
         if t:
             before = slice(bounds[t - 1], bounds[t - 1] + z - a)
-            hu = gates[:, a:z]  # scratch until the activations overwrite it
-            np.matmul(out[0, before], u_fw, out=hu[0])
-            np.matmul(out[1, before], u_bw, out=hu[1])
-            pre = pre + hu
+            # act is scratch for h @ u until the activations overwrite it
+            np.matmul(out[before, 0], u_fw, out=act[:, 0])
+            np.matmul(out[before, 1], u_bw, out=act[:, 1])
+            pre = pre + act
         pre = pre + b_data
-        act = expit(pre, out=gates[:, a:z])
+        expit(pre, out=act)
         np.tanh(pre[..., cell_gate], out=act[..., cell_gate])
-        i, f, g, o = by_gate[:, a:z].transpose(2, 0, 1, 3)
-        c = np.multiply(i, g, out=cells[:, a:z])
+        c = np.multiply(act[..., :hidden], act[..., cell_gate], out=cells[a:z])
         if t:
-            c += f * cells[:, before]
-        np.multiply(o, np.tanh(c), out=out[:, a:z])
+            c += act[..., hidden:2 * hidden] * cells[before]
+        np.multiply(act[..., 3 * hidden:], np.tanh(c), out=out[a:z])
     flat_out = np.empty((size, 2 * hidden))
-    flat_out[rows[0], :hidden] = out[0]
-    flat_out[rows[1], hidden:] = out[1]
+    flat_out[rows[0], :hidden] = out[:, 0]
+    flat_out[rows[1], hidden:] = out[:, 1]
 
     def back(d_flat):
         first = bounds[1]
         h_prev = np.zeros_like(out)
         c_prev = np.zeros_like(cells)
-        h_prev[:, first:] = out[:, packing.previous]
-        c_prev[:, first:] = cells[:, packing.previous]
-        i, f, g, o = by_gate.transpose(2, 0, 1, 3)
+        h_prev[first:] = out[packing.previous]
+        c_prev[first:] = cells[packing.previous]
+        by_gate = gates.reshape(size, 2, 4, hidden)
+        i, f, g, o = (by_gate[:, :, j] for j in range(4))
         tanh_c = np.tanh(cells)
         # d pre = d act * act'(pre): the i, f, g columns scale with d c,
         # the o columns with d h
         by_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
-                          i * (1.0 - g * g)], axis=2)  # [2, rows, 3, H]
+                          i * (1.0 - g * g)], axis=2)  # [rows, 2, 3, H]
         by_dh = tanh_c * o * (1.0 - o)
         dc_by_dh = o * (1.0 - tanh_c * tanh_c)
-        dh = np.array([d_flat[rows[0], :hidden], d_flat[rows[1], hidden:]])
+        dh = np.empty_like(out)
+        dh[:, 0] = d_flat[rows[0], :hidden]
+        dh[:, 1] = d_flat[rows[1], hidden:]
         dc = np.empty_like(cells)
         d_pre = np.empty_like(gates)
         d_by_gate = d_pre.reshape(by_gate.shape)
@@ -405,19 +423,19 @@ def bilstm_forward(features: Tensor, packing: Packing, params: BiLstmParams) -> 
             a, z = bounds[t], bounds[t + 1]
             # step t + 1 runs on with the first rows of step t
             after, on = slice(z, ends[t]), slice(a, a + ends[t] - z)
-            dh[0, on] += d_pre[0, after] @ u_fw.T
-            dh[1, on] += d_pre[1, after] @ u_bw.T
-            np.multiply(dh[:, a:z], dc_by_dh[:, a:z], out=dc[:, a:z])
-            dc[:, on] += dc[:, after] * f[:, after]
-            np.multiply(by_dc[:, a:z], dc[:, a:z, None], out=d_by_gate[:, a:z, :3])
-            np.multiply(dh[:, a:z], by_dh[:, a:z], out=d_by_gate[:, a:z, 3])
+            dh[on, 0] += d_pre[after, 0] @ u_fw.T
+            dh[on, 1] += d_pre[after, 1] @ u_bw.T
+            np.multiply(dh[a:z], dc_by_dh[a:z], out=dc[a:z])
+            dc[on] += dc[after] * f[after]
+            np.multiply(by_dc[a:z], dc[a:z, :, None], out=d_by_gate[a:z, :, :3])
+            np.multiply(dh[a:z], by_dh[a:z], out=d_by_gate[a:z, :, 3])
         grads = []
         for d in range(2):
             # back to token order, so the weight gradients sum tokens in that order
-            d_pre_flat = np.empty_like(d_pre[d])
-            d_pre_flat[rows[d]] = d_pre[d]
-            h_prev_flat = np.empty_like(h_prev[d])
-            h_prev_flat[rows[d]] = h_prev[d]
+            d_pre_flat = np.empty((size, 4 * hidden))
+            d_pre_flat[rows[d]] = d_pre[:, d]
+            h_prev_flat = np.empty((size, hidden))
+            h_prev_flat[rows[d]] = h_prev[:, d]
             grads += [d_pre_flat, h_prev_flat.T @ d_pre_flat, d_pre_flat.sum(axis=0)]
         return grads
 

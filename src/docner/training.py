@@ -292,13 +292,3 @@ def _frozen_digest(model: NerModel) -> bytes:
     trainable = {id(p) for p in model.trainable_parameters()}
     return b"".join(p.data.tobytes() for p in model.all_parameters()
                     if id(p) not in trainable)
-
-
-def annealing_epochs(config: FeatureBasedConfig) -> int:
-    """Epoch at which training stops if dev F1 never improves after epoch 1."""
-    n_anneals = 0
-    lr = config.learning_rate
-    while lr >= config.min_lr:
-        lr *= config.anneal_factor
-        n_anneals += 1
-    return 1 + config.patience * n_anneals

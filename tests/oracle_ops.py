@@ -9,6 +9,9 @@ per-sentence sequence ops that `docner.tagger` replaced with batched ones.
 A batched op run on a batch of one must equal them bit for bit, and on a
 ragged batch it must match them run sentence by sentence.
 
+`annealing_epochs` is the closed form of the feature recipe's learning-rate
+schedule, which the training tests and criterion 8 check a run against.
+
 `transformer_forward` is the encoder built op by op, one graph node per
 head split, matmul, mask, dropout and residual, with the `transpose` and
 `dropout` nodes it needs. Each layer of `TransformerEncoder.forward` is one
@@ -26,33 +29,38 @@ from docner import autodiff as ad
 from docner.autodiff import Tensor
 
 
+def as_tensor(x) -> Tensor:
+    """`x` as a graph variable: a Tensor stays itself, an array becomes a leaf."""
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = ad.as_tensor(a)
+    a = as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     return ad.mul(ad.tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    a = ad.as_tensor(a)
+    a = as_tensor(a)
     y = special.expit(a.data)
     return Tensor(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def tanh(a: Tensor) -> Tensor:
-    a = ad.as_tensor(a)
+    a = as_tensor(a)
     y = np.tanh(a.data)
     return Tensor(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    a = ad.as_tensor(a)
+    a = as_tensor(a)
     inv = np.argsort(axes)
     return Tensor(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
     """Inverted dropout: scales kept units by 1/(1-rate) in train mode."""
-    a = ad.as_tensor(a)
+    a = as_tensor(a)
     if not train or rate <= 0.0:
         return a
     if rate >= 1.0:
@@ -237,3 +245,14 @@ def bilstm_forward(features: Tensor, params) -> Tensor:
     bw = lstm_direction(features, p["bw.w"], p["bw.u"], p["bw.b"],
                         params.hidden, range(n - 1, -1, -1))
     return ad.concat([fw, bw], axis=1)
+
+
+def annealing_epochs(config) -> int:
+    """Epoch at which feature-based training (`FeatureBasedConfig`) stops if
+    dev F1 never improves after epoch 1."""
+    n_anneals = 0
+    lr = config.learning_rate
+    while lr >= config.min_lr:
+        lr *= config.anneal_factor
+        n_anneals += 1
+    return 1 + config.patience * n_anneals

@@ -24,8 +24,9 @@ from docner.synthetic import (adversarial_boundary_corpus, corpus_from_documents
 from docner.tagger import (BiLstmParams, CrfParams, Packing, bilstm_forward, crf_log_z,
                            crf_nll, viterbi)
 from docner.tokenizer import encode, train_vocab
-from docner.training import (FeatureBasedConfig, FineTuneConfig, annealing_epochs,
-                             one_cycle_lr, train_feature_based, train_finetune)
+from docner.training import (FeatureBasedConfig, FineTuneConfig, one_cycle_lr,
+                             train_feature_based, train_finetune)
+from oracle_ops import annealing_epochs
 
 
 def criterion(number, description):

@@ -37,7 +37,7 @@ def random_crf(rng, num_labels, lo=-2.0, hi=2.0):
 
 
 def one_sentence_log_z(e, crf):
-    e = ad.as_tensor(e)
+    e = oracle_ops.as_tensor(e)
     return crf_log_z(e, Packing([e.shape[0]]), crf)
 
 
@@ -318,7 +318,7 @@ class TestBiLstm:
 
 def reference_crf_log_z(emissions, crf):
     """Forward algorithm as one autodiff node per timestep (the reference)."""
-    emissions = ad.as_tensor(emissions)
+    emissions = oracle_ops.as_tensor(emissions)
     n, num_labels = emissions.shape
     trans = crf.transitions
     core = ad.narrow(ad.narrow(trans, 0, 0, num_labels), 1, 0, num_labels)
