@@ -311,11 +311,11 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """
     a_data, gain_data, bias_data = _data(a), _data(gain), _data(bias)
     width = a_data.shape[-1]
-    xhat = np.add.reduce(a_data, axis=-1, keepdims=True)
-    xhat /= width
-    xhat = np.subtract(a_data, xhat)
-    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
-    inv /= width
+    mean = np.add.reduce(a_data, axis=-1, keepdims=True)
+    mean /= width
+    xhat = a_data - mean
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)  # the variance, then
+    inv /= width                                               # 1 / sqrt(it + eps)
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)

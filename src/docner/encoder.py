@@ -86,10 +86,10 @@ class TransformerEncoder:
             p["final_ln_g"] = Tensor(np.ones(c.model_dim))
             p["final_ln_b"] = Tensor(np.zeros(c.model_dim))
         # each layer's graph-node parameters, the last with the final layer norm
-        self.layer_params = [[p[f"l{i}.{name}"] for name in LAYER_PARAMS]
+        self._layer_params = [[p[f"l{i}.{name}"] for name in LAYER_PARAMS]
                              for i in range(c.layers)]
         if c.layers > 0:
-            self.layer_params[-1] += [p["final_ln_g"], p["final_ln_b"]]
+            self._layer_params[-1] += [p["final_ln_g"], p["final_ln_b"]]
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -147,7 +147,7 @@ class TransformerEncoder:
         c = self.config
         heads, head_dim = c.heads, c.model_dim // c.heads
         inv_sqrt = 1.0 / math.sqrt(head_dim)
-        params = self.layer_params[i]
+        params = self._layer_params[i]
         (ln1_g, ln1_b, wq, wq_b, wk, wk_b, wv, wv_b, wo, wo_b,
          ln2_g, ln2_b, w1, w1_b, w2, w2_b, *final_ln) = params
 
