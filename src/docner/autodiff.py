@@ -314,8 +314,9 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     mean = np.add.reduce(a_data, axis=-1, keepdims=True)
     mean /= width
     xhat = a_data - mean
-    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)  # the variance, then
-    inv /= width                                               # 1 / sqrt(it + eps)
+    # the variance, then 1 / sqrt(variance + eps), in one buffer
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    inv /= width
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
