@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,27 @@ class TestBiLstm:
         with pytest.raises(ValueError, match="rows"):
             bilstm_forward(Tensor(np.zeros((3, 2))), Packing([2]),
                            BiLstmParams(2, 3, rng))
+
+    def test_decode_batch_allocates_little_beyond_its_gate_block(self, rng):
+        """A 256-row decode batch keeps the gates, cells and outputs it
+        returns or reads, not a second [rows, 2, 4H] block of inputs."""
+        hidden, lengths = 64, [31, 24, 20, 18, 17, 16, 16, 15, 14, 13, 12, 11,
+                               10, 9, 8, 8, 7, 5, 2]
+        params = BiLstmParams(64, hidden, rng)
+        features = rng.normal(size=(sum(lengths), 64))
+        packing = Packing(lengths)
+        gate_block = sum(lengths) * 2 * 4 * hidden * 8
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                bilstm_forward(features, packing, params)
+                peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(lengths) == 256
+        assert peak < 2.5 * gate_block
 
 
 # -- fused sequence ops against per-timestep autodiff references -------------
