@@ -16,7 +16,7 @@ code should run inside ``no_grad()`` so no graph is recorded.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as _special
@@ -269,9 +269,15 @@ def gelu(a) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
 
-    def back(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a_data * a_data)
-        return g * (cdf + a_data * pdf)
+    def back(g):  # g * (cdf + a * pdf), pdf = exp(-a * a / 2) / sqrt(2 pi)
+        d = np.multiply(a_data, -0.5)
+        d *= a_data
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= a_data
+        d += cdf
+        d *= g
+        return d
 
     return _node(a_data * cdf, (a, back))
 
@@ -338,45 +344,3 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _node(y, (a, back_a),
                  (gain, lambda g: _unbroadcast(g * xhat, gain_data.shape)),
                  (bias, lambda g: _unbroadcast(g, bias_data.shape)))
-
-
-# -- gradient checking ---------------------------------------------------
-
-
-def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor],
-               epsilon: float = 1e-5) -> float:
-    """Compare tape gradients of scalar `f()` to central finite differences.
-
-    Perturbs every element of every parameter by ±epsilon and returns the
-    maximum relative error, with denominator max(|analytic|, |numeric|, 1e-8).
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    params = list(params)
-    out = f()
-    if not np.isfinite(out.data).all():
-        raise FloatingPointError("grad_check: objective is not finite")
-    for p in params:
-        p.grad = None
-    out.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in params]
-
-    max_err = 0.0
-    with no_grad():
-        for p, ana in zip(params, analytic):
-            flat = p.data.reshape(-1)
-            aflat = ana.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + epsilon
-                f_plus = float(f().data)
-                flat[i] = orig - epsilon
-                f_minus = float(f().data)
-                flat[i] = orig
-                numeric = (f_plus - f_minus) / (2.0 * epsilon)
-                denom = max(abs(aflat[i]), abs(numeric), 1e-8)
-                err = abs(aflat[i] - numeric) / denom
-                if err > max_err:
-                    max_err = err
-    return max_err

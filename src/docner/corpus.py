@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
 
@@ -290,7 +290,7 @@ def with_predictions(corpus: Corpus, predictions: list[list[str]]) -> Corpus:
             if len(tags) != len(sent):
                 raise ValueError("prediction length mismatch for sentence "
                                  f"{sent.doc_index}:{sent.position_in_doc}")
-            new_tokens = [replace(tok, predicted_tag=tag)
+            new_tokens = [Token(tok.text, tok.gold_tag, tag)
                           for tok, tag in zip(sent.tokens, tags)]
             new_sents.append(Sentence(new_tokens, sent.doc_index, sent.position_in_doc))
         documents.append(Document(new_sents, doc.id))

@@ -157,31 +157,38 @@ class TransformerEncoder:
         def merge(t):  # [B, H, rows, d_head] -> [B*rows, D]
             return t.transpose(0, 2, 1, 3).reshape(-1, c.model_dim)
 
-        def dropped(t):
+        def affine(t, w, b):  # t @ w + b, the bias added in place
+            y = ad.matmul(t, w.data).data
+            y += b.data
+            return y
+
+        def dropped(t):  # in place
             if drop is None:
                 return t, None
             rate, rng = drop
             mask = (rng.random(t.shape) >= rate) / (1.0 - rate)
-            return t * mask, mask
+            t *= mask
+            return t, mask
 
         ln1 = ad.layer_norm(x, ln1_g, ln1_b)
         a = ln1.data
-        k = split(ad.matmul(a, wk.data).data + wk_b.data)
-        v = split(ad.matmul(a, wv.data).data + wv_b.data)
+        k = split(affine(a, wk, wk_b))
+        v = split(affine(a, wv, wv_b))
         xq, aq = (x.data, a) if rows is None else (x.data[rows], a[rows])
-        q = split(ad.matmul(aq, wq.data).data + wq_b.data)
-        scores = ad.matmul(q, k.transpose(0, 1, 3, 2)).data * inv_sqrt
+        q = split(affine(aq, wq, wq_b))
+        scores = ad.matmul(q, k.transpose(0, 1, 3, 2)).data
+        scores *= inv_sqrt
         if key_mask is not None:
             scores += key_mask
         att = ad.softmax(scores, axis=-1).data
         ctx = merge(ad.matmul(att, v).data)
-        o, mask1 = dropped(ad.matmul(ctx, wo.data).data + wo_b.data)
-        x1 = xq + o
+        x1, mask1 = dropped(affine(ctx, wo, wo_b))
+        x1 += xq  # the residual
         ln2 = ad.layer_norm(Tensor(x1), ln2_g, ln2_b)
         f = ln2.data
-        act = ad.gelu(Tensor(ad.matmul(f, w1.data).data + w1_b.data))
-        ff, mask2 = dropped(ad.matmul(act.data, w2.data).data + w2_b.data)
-        out = x1 + ff
+        act = ad.gelu(Tensor(affine(f, w1, w1_b)))
+        out, mask2 = dropped(affine(act.data, w2, w2_b))
+        out += x1  # the residual
         if rows is not None:
             final = ad.layer_norm(Tensor(out), *final_ln)
             out = final.data
@@ -203,13 +210,16 @@ class TransformerEncoder:
             d_scores = np.matmul(d_ctx, v.transpose(0, 1, 3, 2))
             d_scores -= delta.transpose(0, 2, 1)[..., None]
             d_scores *= att
-            d_q = merge(np.matmul(d_scores, k)) * inv_sqrt
-            d_k = merge(np.matmul(d_scores.transpose(0, 1, 3, 2), q)) * inv_sqrt
+            d_q = merge(np.matmul(d_scores, k))
+            d_q *= inv_sqrt
+            d_k = merge(np.matmul(d_scores.transpose(0, 1, 3, 2), q))
+            d_k *= inv_sqrt
             grads = [aq.T @ d_q, d_q.sum(axis=0), a.T @ d_k, d_k.sum(axis=0),
                      a.T @ d_v, d_v.sum(axis=0), ctx.T @ d_o, d_o.sum(axis=0),
                      d_ln2_g, d_ln2_b, f.T @ d_pre, d_pre.sum(axis=0),
                      act.data.T @ d_ff, d_ff.sum(axis=0), *final_grads]
-            d_a = d_k @ wk.data.T + d_v @ wv.data.T
+            d_a = d_k @ wk.data.T
+            d_a += d_v @ wv.data.T
             d_aq = d_q @ wq.data.T
             if rows is None:
                 d_a += d_aq

@@ -23,8 +23,11 @@ The CRF log partition (forward algorithm; its gradient is the label
 marginals from the forward-backward algorithm) and the BiLSTM (both
 directions stepped together; backpropagation through time) are one graph
 node per batch with a hand-written backward, and Viterbi decodes a batch
-in one pass. The gold-path score and the linear head are ordinary autodiff
-ops on the same tape.
+in one pass. The BiLSTM projects each direction's gathered input rows
+straight into that direction's packed gate rows, which the activations
+then overwrite, so its node's parents are the two directions' w, u and b,
+plus the features when they are a Tensor. The gold-path score and the
+linear head are ordinary autodiff ops on the same tape.
 
 Losses take emission Tensors and record a graph; the decoders
 (`greedy_decode`, `viterbi`, `path_score`) take plain score arrays.
@@ -352,41 +355,48 @@ def bilstm_forward(features, packing: Packing, params: BiLstmParams) -> Tensor:
     backward one `packing.backward`; both step together, since step t runs
     the same sentences in each. Packed arrays are [packed row, direction,
     ...], so a step's rows, and the rows of the step before it that it
-    reads, are one contiguous block for both directions. A step reads its
-    predecessors' hidden states and cells from the packed rows it writes,
-    and backpropagation through time reads its successors' gradients the
-    same way; step 0 starts from zero states. A single graph node over
-    (features @ w, u, b) of both directions; features passed as a plain
-    array are a constant. Under no_grad the node drops its backward and the
-    activations it stored with it.
+    reads, are one contiguous block for both directions. Each direction
+    projects its gathered input rows straight into its own gate columns; a
+    step adds them to h @ u in a scratch block, and the activations then
+    overwrite them. A step reads its predecessors' hidden states and cells
+    from the packed rows it writes, and backpropagation through time reads
+    its successors' gradients the same way; step 0 starts from zero states.
+    A single graph node over (w, u, b) of both directions, plus `features`
+    when it is a Tensor; features passed as a plain array are a constant.
+    Under no_grad the node drops its backward and the activations it stored
+    with it.
     """
     p, hidden = params.params, params.hidden
-    pre_all = [ad.matmul(features, p[f"{d}.w"]) for d in ("fw", "bw")]  # one each
-    _check_shape(pre_all[0].data, packing.rows)
+    x = features.data if isinstance(features, Tensor) else features
+    _check_shape(x, packing.rows)
     rows = (packing.forward, packing.backward)
     bounds, size = packing.bounds, packing.rows
-    x = np.empty((size, 2, 4 * hidden))  # [packed row, direction, 4H]
-    for d, (pre, r) in enumerate(zip(pre_all, rows)):
-        x[:, d] = pre.data[r]
+    w_fw, w_bw = p["fw.w"].data, p["bw.w"].data
+    # the inputs' projections, until the activations (gate order i, f, g, o)
+    # overwrite them
+    gates = np.empty((size, 2, 4 * hidden))
+    np.matmul(x[rows[0]], w_fw, out=gates[:, 0])
+    np.matmul(x[rows[1]], w_bw, out=gates[:, 1])
     # one matmul per direction and step: stacking the recurrent weights would
     # copy [2, H, 4H] per call, which costs a short sentence more
     u_fw, u_bw = p["fw.u"].data, p["bw.u"].data
     b_data = np.array([p["fw.b"].data, p["bw.b"].data])
-    gates = np.empty((size, 2, 4 * hidden))  # activations, gate order (i, f, g, o)
+    scratch = np.empty((bounds[1], 2, 4 * hidden))  # one step's pre-activations
     cells = np.empty((size, 2, hidden))
     out = np.empty((size, 2, hidden))
     cell_gate = slice(2 * hidden, 3 * hidden)
     for t in range(len(bounds) - 1):
         a, z = bounds[t], bounds[t + 1]
-        pre = x[a:z]
         act = gates[a:z]
+        pre = scratch[:z - a]
         if t:
             before = slice(bounds[t - 1], bounds[t - 1] + z - a)
-            # act is scratch for h @ u until the activations overwrite it
-            np.matmul(out[before, 0], u_fw, out=act[:, 0])
-            np.matmul(out[before, 1], u_bw, out=act[:, 1])
-            pre = pre + act
-        pre = pre + b_data
+            np.matmul(out[before, 0], u_fw, out=pre[:, 0])
+            np.matmul(out[before, 1], u_bw, out=pre[:, 1])
+            pre += act
+            pre += b_data
+        else:
+            np.add(act, b_data, out=pre)
         expit(pre, out=act)
         np.tanh(pre[..., cell_gate], out=act[..., cell_gate])
         c = np.multiply(act[..., :hidden], act[..., cell_gate], out=cells[a:z])
@@ -429,15 +439,23 @@ def bilstm_forward(features, packing: Packing, params: BiLstmParams) -> Tensor:
             dc[on] += dc[after] * f[after]
             np.multiply(by_dc[a:z], dc[a:z, :, None], out=d_by_gate[a:z, :, :3])
             np.multiply(dh[a:z], by_dh[a:z], out=d_by_gate[a:z, :, 3])
-        grads = []
-        for d in range(2):
+        grads, d_x = [], None
+        for d, w in enumerate((w_fw, w_bw)):
             # back to token order, so the weight gradients sum tokens in that order
             d_pre_flat = np.empty((size, 4 * hidden))
             d_pre_flat[rows[d]] = d_pre[:, d]
             h_prev_flat = np.empty((size, hidden))
             h_prev_flat[rows[d]] = h_prev[:, d]
-            grads += [d_pre_flat, h_prev_flat.T @ d_pre_flat, d_pre_flat.sum(axis=0)]
-        return grads
+            grads += [x.T @ d_pre_flat, h_prev_flat.T @ d_pre_flat,
+                      d_pre_flat.sum(axis=0)]
+            if isinstance(features, Tensor):
+                if d_x is None:
+                    d_x = d_pre_flat @ w.T
+                else:
+                    d_x += d_pre_flat @ w.T
+        return grads if d_x is None else [*grads, d_x]
 
-    return Tensor(flat_out, (pre_all[0], p["fw.u"], p["fw.b"],
-                             pre_all[1], p["bw.u"], p["bw.b"]), back)
+    parents = params.parameters()
+    if isinstance(features, Tensor):
+        parents.append(features)
+    return Tensor(flat_out, tuple(parents), back)

@@ -36,6 +36,7 @@ class SubwordVocab:
         if len(self.symbol_to_id) != len(symbols):
             raise ValueError("duplicate symbols in vocabulary")
         self.merge_rank = {pair: i for i, pair in enumerate(self.merges)}
+        self._known = set(self.alphabet)
         self._cache: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
@@ -62,8 +63,7 @@ class SubwordVocab:
         cached = self._cache.get(token)
         if cached is not None:
             return list(cached)
-        known = set(self.alphabet)
-        parts: list[str] = [c if c in known else UNK for c in token]
+        parts: list[str] = [c if c in self._known else UNK for c in token]
         while len(parts) > 1:
             best_rank, best_idx = None, None
             for i in range(len(parts) - 1):

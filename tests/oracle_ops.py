@@ -9,6 +9,9 @@ per-sentence sequence ops that `docner.tagger` replaced with batched ones.
 A batched op run on a batch of one must equal them bit for bit, and on a
 ragged batch it must match them run sentence by sentence.
 
+`grad_check` compares a graph's gradients with central finite differences,
+the oracle every op and hand-written backward is checked against.
+
 `annealing_epochs` is the closed form of the feature recipe's learning-rate
 schedule, which the training tests and criterion 8 check a run against.
 
@@ -20,6 +23,7 @@ for bit and its gradients match within 1e-10.
 """
 
 import math
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import special
@@ -256,3 +260,42 @@ def annealing_epochs(config) -> int:
         lr *= config.anneal_factor
         n_anneals += 1
     return 1 + config.patience * n_anneals
+
+
+def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor],
+               epsilon: float = 1e-5) -> float:
+    """Compare tape gradients of scalar `f()` to central finite differences.
+
+    Perturbs every element of every parameter by ±epsilon and returns the
+    maximum relative error, with denominator max(|analytic|, |numeric|, 1e-8).
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    params = list(params)
+    out = f()
+    if not np.isfinite(out.data).all():
+        raise FloatingPointError("grad_check: objective is not finite")
+    for p in params:
+        p.grad = None
+    out.backward()
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for p in params]
+
+    max_err = 0.0
+    with ad.no_grad():
+        for p, ana in zip(params, analytic):
+            flat = p.data.reshape(-1)
+            aflat = ana.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + epsilon
+                f_plus = float(f().data)
+                flat[i] = orig - epsilon
+                f_minus = float(f().data)
+                flat[i] = orig
+                numeric = (f_plus - f_minus) / (2.0 * epsilon)
+                denom = max(abs(aflat[i]), abs(numeric), 1e-8)
+                err = abs(aflat[i] - numeric) / denom
+                if err > max_err:
+                    max_err = err
+    return max_err

@@ -26,7 +26,7 @@ from docner.tagger import (BiLstmParams, CrfParams, Packing, bilstm_forward, crf
 from docner.tokenizer import encode, train_vocab
 from docner.training import (FeatureBasedConfig, FineTuneConfig, one_cycle_lr,
                              train_feature_based, train_finetune)
-from oracle_ops import annealing_epochs
+from oracle_ops import annealing_epochs, grad_check
 
 
 def criterion(number, description):
@@ -110,7 +110,7 @@ def test_criterion_2_gradient_fidelity():
         crf = CrfParams(num_labels)
         crf.transitions.data = rng.uniform(-2, 2, crf.transitions.data.shape)
         gold = list(rng.integers(0, num_labels, n))
-        err = ad.grad_check(lambda: crf_nll(emissions, [gold], Packing([n]), crf),
+        err = grad_check(lambda: crf_nll(emissions, [gold], Packing([n]), crf),
                             [emissions, crf.transitions], epsilon=1e-5)
         worst = max(worst, err)
 
@@ -122,7 +122,7 @@ def test_criterion_2_gradient_fidelity():
         params = BiLstmParams(2, 3, np.random.default_rng(100 + i))
         x = Tensor(rng.normal(size=(int(rng.integers(1, 4)), 2)))
         weights = Tensor(rng.normal(size=(6, 1)))
-        err = ad.grad_check(
+        err = grad_check(
             lambda: ad.tsum(bilstm_forward(x, Packing([x.shape[0]]), params)
                             @ weights) * 1e-4,
             [x, weights] + params.parameters(), epsilon=1e-5)
@@ -135,7 +135,7 @@ def test_criterion_2_gradient_fidelity():
         sentence = sentences[i % len(sentences)]
         ctx = model.contextualize(sentence, corpus)
         gold = model.gold_ids(sentence, corpus.scheme)
-        err = ad.grad_check(
+        err = grad_check(
             lambda: model.batch_loss([sentence.texts], [ctx], [gold]) * 1e-4,
             model.all_parameters(), epsilon=1e-5)
         worst = max(worst, err)
@@ -149,14 +149,14 @@ def test_criterion_2_gradient_fidelity():
         crf = CrfParams(num_labels)
         crf.transitions.data = ragged.uniform(-2, 2, crf.transitions.data.shape)
         golds = [ragged.integers(0, num_labels, n).tolist() for n in lengths]
-        err = ad.grad_check(lambda: crf_nll(emissions, golds, Packing(lengths), crf),
+        err = grad_check(lambda: crf_nll(emissions, golds, Packing(lengths), crf),
                             [emissions, crf.transitions], epsilon=1e-5)
         worst = max(worst, err)
 
         params = BiLstmParams(2, 3, np.random.default_rng(300 + i))
         x = Tensor(ragged.normal(size=(sum(lengths), 2)))
         weights = Tensor(ragged.normal(size=(6, 1)))
-        err = ad.grad_check(
+        err = grad_check(
             lambda: ad.tsum(bilstm_forward(x, Packing(lengths), params) @ weights) * 1e-4,
             [x, weights] + params.parameters(), epsilon=1e-5)
         worst = max(worst, err)

@@ -13,7 +13,7 @@ from docner.encoder import (POOL_STRATEGIES, PaddedBatch, StaticEmbeddingTable,
                             concat_word_embeddings, encode_transformer,
                             extract_core_tokens, pool_layers)
 from docner.tokenizer import train_vocab
-from oracle_ops import transpose, transformer_forward
+from oracle_ops import grad_check, transpose, transformer_forward
 
 TINY = dict(layers=2, heads=2, model_dim=8, ff_dim=16, max_positions=64)
 PAD = 3  # the pad id of these tests' 30-symbol vocabularies
@@ -306,7 +306,7 @@ class TestFusedLayer:
             core = extract_core_tokens(hidden, batch, "all_layer_mean")
             return ad.tsum(pool_layers(core, "all_layer_mean") * upstream) * 1e-4
 
-        assert ad.grad_check(objective, enc.parameters(), epsilon=1e-5) < 1e-5
+        assert grad_check(objective, enc.parameters(), epsilon=1e-5) < 1e-5
 
     def test_eval_mode_draws_no_dropout(self, rng):
         enc = TransformerEncoder(TransformerConfig(**TINY, dropout=0.5), 30, rng)

@@ -263,7 +263,7 @@ class TestBatchedLoss:
         assert len({c.assembled_length for c in ctxs}) > 1  # the batch is padded
         tokens = [s.texts for s in sentences]
         gold = [model.gold_ids(s, corpus.scheme) for s in sentences]
-        err = ad.grad_check(lambda: model.batch_loss(tokens, ctxs, gold) * 1e-4,
+        err = oracle_ops.grad_check(lambda: model.batch_loss(tokens, ctxs, gold) * 1e-4,
                             model.all_parameters(), epsilon=1e-5)
         assert err < 1e-5
 
