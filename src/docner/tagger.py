@@ -449,10 +449,7 @@ def bilstm_forward(features, packing: Packing, params: BiLstmParams) -> Tensor:
             grads += [x.T @ d_pre_flat, h_prev_flat.T @ d_pre_flat,
                       d_pre_flat.sum(axis=0)]
             if isinstance(features, Tensor):
-                if d_x is None:
-                    d_x = d_pre_flat @ w.T
-                else:
-                    d_x += d_pre_flat @ w.T
+                d_x = d_pre_flat @ w.T if d_x is None else d_x + d_pre_flat @ w.T
         return grads if d_x is None else [*grads, d_x]
 
     parents = params.parameters()

@@ -111,7 +111,7 @@ def test_criterion_2_gradient_fidelity():
         crf.transitions.data = rng.uniform(-2, 2, crf.transitions.data.shape)
         gold = list(rng.integers(0, num_labels, n))
         err = grad_check(lambda: crf_nll(emissions, [gold], Packing([n]), crf),
-                            [emissions, crf.transitions], epsilon=1e-5)
+                         [emissions, crf.transitions], epsilon=1e-5)
         worst = max(worst, err)
 
     # central differences at eps=1e-5 resolve gradients only down to about
@@ -150,7 +150,7 @@ def test_criterion_2_gradient_fidelity():
         crf.transitions.data = ragged.uniform(-2, 2, crf.transitions.data.shape)
         golds = [ragged.integers(0, num_labels, n).tolist() for n in lengths]
         err = grad_check(lambda: crf_nll(emissions, golds, Packing(lengths), crf),
-                            [emissions, crf.transitions], epsilon=1e-5)
+                         [emissions, crf.transitions], epsilon=1e-5)
         worst = max(worst, err)
 
         params = BiLstmParams(2, 3, np.random.default_rng(300 + i))

@@ -264,7 +264,7 @@ class TestBatchedLoss:
         tokens = [s.texts for s in sentences]
         gold = [model.gold_ids(s, corpus.scheme) for s in sentences]
         err = oracle_ops.grad_check(lambda: model.batch_loss(tokens, ctxs, gold) * 1e-4,
-                            model.all_parameters(), epsilon=1e-5)
+                                    model.all_parameters(), epsilon=1e-5)
         assert err < 1e-5
 
 

@@ -156,7 +156,7 @@ class TestCrfNll:
         crf = random_crf(rng, 5)
         gold = list(rng.integers(0, 5, 4))
         err = grad_check(lambda: crf_nll(e, [gold], Packing([len(gold)]), crf),
-                            [e, crf.transitions], epsilon=1e-5)
+                         [e, crf.transitions], epsilon=1e-5)
         assert err < 1e-6
 
     def test_shift_equivariance(self, rng):
