@@ -13,7 +13,7 @@ import numpy as np
 
 from docner import CrfParams, Packing, crf_nll, viterbi
 from docner.autodiff import Tensor, no_grad
-from docner.tagger import crf_log_z, path_score
+from docner.tagger import crf_gold_score, crf_log_z
 
 rng = np.random.default_rng(0)
 labels = ["O", "B-X", "I-X"]
@@ -24,8 +24,9 @@ crf = CrfParams(num_labels=3, rng=rng)
 # over all 3^4 label paths.
 with no_grad():
     log_z = float(crf_log_z(Tensor(emissions), Packing([4]), crf).data)
-paths = list(itertools.product(range(3), repeat=4))
-scores = np.array([path_score(emissions, list(p), crf) for p in paths])
+    paths = list(itertools.product(range(3), repeat=4))
+    scores = np.array([float(crf_gold_score(Tensor(emissions), [list(p)], crf).data)
+                       for p in paths])
 print(f"log Z forward algorithm: {log_z:.10f}")
 print(f"log Z enumeration      : {float(np.logaddexp.reduce(scores)):.10f}")
 print(f"sum of path probabilities: {np.exp(scores - log_z).sum():.10f}")
@@ -38,9 +39,11 @@ print(f"brute  path {[labels[i] for i in brute]} score {scores.max():.4f}")
 
 # The negative log-likelihood of the gold path is log Z - score(gold).
 gold = [1, 2, 0, 1]  # B-X I-X O B-X
+with no_grad():
+    gold_score = float(crf_gold_score(Tensor(emissions), [gold], crf).data)
 loss = crf_nll(Tensor(emissions), [gold], Packing([4]), crf)
 print(f"\nNLL of gold {[labels[i] for i in gold]}: {float(loss.data):.4f} "
-      f"(= {log_z:.4f} - {path_score(emissions, gold, crf):.4f})")
+      f"(= {log_z:.4f} - {gold_score:.4f})")
 
 # Gradients flow through both terms; transitions are ordinary parameters.
 loss.backward()

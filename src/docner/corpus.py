@@ -103,14 +103,13 @@ def split_tag(tag: str) -> tuple[str, str]:
     return prefix, etype
 
 
-def _resolve_column(fields: list[str], column: int, line_no: int, what: str) -> str:
+def _check_column(fields: list[str], column: int, line_no: int, what: str) -> None:
     n = len(fields)
     idx = column if column >= 0 else n + column
     if idx < 0 or idx >= n:
         raise ParseError(
             f"line {line_no}: expected at least {abs(column) if column < 0 else column + 1} "
             f"columns for the {what} column, got {n}")
-    return fields[idx]
 
 
 def parse_conll(text: str, token_column: int = 0, tag_column: int = -1,
@@ -122,50 +121,35 @@ def parse_conll(text: str, token_column: int = 0, tag_column: int = -1,
     any -DOCSTART- become a single document. Negative column indices count
     from the right, so ``tag_column=-1`` reads the last column.
     """
-    raw_docs: list[list[list[tuple[str, str]]]] = []
-    current_doc: list[list[tuple[str, str]]] = []
-    current_sent: list[tuple[str, str]] = []
+    min_fields = max(c + 1 if c >= 0 else -c for c in (token_column, tag_column))
+    documents: list[Document] = []
+    sentences: list[Sentence] = []
+    tokens: list[Token] = []
+    valid_tags: set[str] = set()
 
-    def close_sentence():
-        nonlocal current_sent
-        if current_sent:
-            current_doc.append(current_sent)
-            current_sent = []
-
-    def close_document():
-        nonlocal current_doc
-        close_sentence()
-        if current_doc:
-            raw_docs.append(current_doc)
-            current_doc = []
-
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # the closing -DOCSTART- ends the last sentence and document
+    for line_no, line in enumerate([*text.splitlines(), DOCSTART], start=1):
         fields = line.split()
-        if not fields:
-            close_sentence()
+        if fields and fields[0] != DOCSTART:
+            if len(fields) < min_fields:  # raises, naming the first short column
+                _check_column(fields, token_column, line_no, "token")
+                _check_column(fields, tag_column, line_no, "tag")
+            tag = fields[tag_column]
+            if tag not in valid_tags:
+                _validate_tag(tag, line_no)
+                valid_tags.add(tag)
+            tokens.append(Token(fields[token_column], tag))
             continue
-        if fields[0] == DOCSTART:
-            close_document()
-            continue
-        token_text = _resolve_column(fields, token_column, line_no, "token")
-        tag = _resolve_column(fields, tag_column, line_no, "tag")
-        _validate_tag(tag, line_no)
-        current_sent.append((token_text, tag))
-    close_document()
+        if tokens:  # a blank line or -DOCSTART- ends the sentence
+            sentences.append(Sentence(tokens, len(documents), len(sentences)))
+            tokens = []
+        if fields and sentences:  # -DOCSTART- also ends the document
+            documents.append(Document(sentences, f"doc{len(documents)}"))
+            sentences = []
 
-    all_tags = [tag for doc in raw_docs for sent in doc for _, tag in sent]
-    scheme = detect_scheme(all_tags)
-    label_set = frozenset(split_tag(t)[1] for t in all_tags if t != OUTSIDE)
-
-    documents = []
-    for d_idx, raw_doc in enumerate(raw_docs):
-        sentences = [
-            Sentence(tokens=[Token(text=w, gold_tag=t) for w, t in raw_sent],
-                     doc_index=d_idx, position_in_doc=s_idx)
-            for s_idx, raw_sent in enumerate(raw_doc)
-        ]
-        documents.append(Document(sentences=sentences, id=f"doc{d_idx}"))
-    return Corpus(documents=documents, split=split, label_set=label_set, scheme=scheme)
+    label_set = frozenset(split_tag(t)[1] for t in valid_tags if t != OUTSIDE)
+    return Corpus(documents=documents, split=split, label_set=label_set,
+                  scheme=detect_scheme(valid_tags))
 
 
 def _validate_tag(tag: str, line_no: int) -> None:

@@ -30,7 +30,7 @@ plus the features when they are a Tensor. The gold-path score and the
 linear head are ordinary autodiff ops on the same tape.
 
 Losses take emission Tensors and record a graph; the decoders
-(`greedy_decode`, `viterbi`, `path_score`) take plain score arrays.
+(`greedy_decode`, `viterbi`) take plain score arrays.
 """
 
 from __future__ import annotations
@@ -259,12 +259,6 @@ def crf_nll(emissions: Tensor, golds: list[list[int]], packing: Packing,
     if [len(golds[i]) for i in packing.order] != packing.sorted_lengths:
         raise ValueError("the packing does not hold the gold paths' lengths")
     return crf_log_z(emissions, packing, crf) - crf_gold_score(emissions, golds, crf)
-
-
-def path_score(scores: np.ndarray, path: list[int], crf: CrfParams) -> float:
-    """Plain-float path score for oracles and decoding checks."""
-    with ad.no_grad():
-        return float(crf_gold_score(Tensor(scores), [path], crf).data)
 
 
 def viterbi(scores: np.ndarray, packing: Packing,

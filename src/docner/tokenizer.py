@@ -8,7 +8,8 @@ wins each round, ties broken lexicographically.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .corpus import Corpus
@@ -159,43 +160,74 @@ def train_vocab(corpus: Corpus, vocab_size: int) -> SubwordVocab:
 
     Repeatedly merges the most frequent adjacent symbol pair (lexicographic
     tie-break) until `vocab_size` total symbols are reached or no pair
-    occurs twice. Deterministic for a fixed corpus, independent of sentence
-    order.
-    """
-    token_counts: Counter[str] = Counter()
-    for sent in corpus.sentences():
-        token_counts.update(sent.texts)
+    occurs twice. A pair whose merge would spell a symbol the vocabulary
+    already has (a special such as ``<s>``, or an earlier merge) is never
+    taken. Deterministic for a fixed corpus, independent of sentence order.
 
+    The pair counts are kept across merges (Sennrich et al. 2016): an index
+    from each pair to the words holding it names the words a merge
+    rewrites, and only their pairs are recounted. The best pair comes off
+    a heap of (-count, pair) entries; an entry whose count is no longer
+    the pair's is stale and skipped.
+    """
+    token_counts = Counter(tok.text for sent in corpus.sentences()
+                           for tok in sent.tokens)
     alphabet = sorted({c for token in token_counts for c in token})
     base = len(alphabet) + len(_SPECIALS)
     if vocab_size < base:
         raise ValueError(f"vocab_size {vocab_size} is below alphabet "
                          f"size + specials ({base})")
 
-    words: dict[str, tuple[list[str], int]] = {
-        tok: ([*tok], cnt) for tok, cnt in sorted(token_counts.items())
-    }
+    words = [[*tok] for tok in token_counts]
+    counts = list(token_counts.values())
+    pair_counts: dict[tuple[str, str], int] = {}
+    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for w, parts in enumerate(words):
+        for pair in zip(parts, parts[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + counts[w]
+            holders[pair].add(w)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
+
+    symbols = set(_SPECIALS) | set(alphabet)
     merges: list[tuple[str, str]] = []
-    while base + len(merges) < vocab_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for parts, cnt in words.values():
-            for i in range(len(parts) - 1):
-                pair_counts[(parts[i], parts[i + 1])] += cnt
-        if not pair_counts:
-            break
-        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        (a, b), count = best
+    while heap and base + len(merges) < vocab_size:
+        neg_count, (a, b) = heapq.heappop(heap)
+        count = -neg_count
+        if pair_counts.get((a, b)) != count or a + b in symbols:
+            continue  # a stale entry, or a merge spelling an existing symbol
         if count < 2:
             break
-        merges.append((a, b))
         merged = a + b
-        for tok, (parts, cnt) in words.items():
-            i = 0
-            while i < len(parts) - 1:
-                if parts[i] == a and parts[i + 1] == b:
-                    parts[i:i + 2] = [merged]
+        merges.append((a, b))
+        symbols.add(merged)
+        delta: dict[tuple[str, str], int] = {}
+        for w in holders.pop((a, b)):
+            parts, cnt = words[w], counts[w]
+            new, i, last = [], 0, len(parts) - 1
+            while i <= last:
+                if parts[i] == a and i < last and parts[i + 1] == b:
+                    new.append(merged)
+                    i += 2
                 else:
+                    new.append(parts[i])
                     i += 1
+            if len(new) == len(parts):
+                continue  # the pair left this word in an earlier merge
+            for pair in zip(parts, parts[1:]):
+                delta[pair] = delta.get(pair, 0) - cnt
+            for pair in zip(new, new[1:]):
+                delta[pair] = delta.get(pair, 0) + cnt
+                holders[pair].add(w)
+            words[w] = new
+        for pair, d in delta.items():
+            if d:
+                total = pair_counts.get(pair, 0) + d
+                if total:
+                    pair_counts[pair] = total
+                    heapq.heappush(heap, (-total, pair))
+                else:
+                    del pair_counts[pair]
     return SubwordVocab(alphabet=alphabet, merges=merges)
 
 

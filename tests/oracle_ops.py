@@ -7,10 +7,15 @@ gates in numpy, so the program itself needs none of them.
 `crf_log_z`, `lstm_direction`, `bilstm_forward` and `viterbi` are the
 per-sentence sequence ops that `docner.tagger` replaced with batched ones.
 A batched op run on a batch of one must equal them bit for bit, and on a
-ragged batch it must match them run sentence by sentence.
+ragged batch it must match them run sentence by sentence. `path_score` is
+one label path's score as a plain float, for the CRF checks.
 
 `grad_check` compares a graph's gradients with central finite differences,
 the oracle every op and hand-written backward is checked against.
+
+`reference_train_vocab` is BPE training as one loop that recounts every
+pair on every merge; `docner.tokenizer.train_vocab` keeps its counts
+across merges and must take the same merges.
 
 `annealing_epochs` is the closed form of the feature recipe's learning-rate
 schedule, which the training tests and criterion 8 check a run against.
@@ -23,6 +28,7 @@ for bit and its gradients match within 1e-10.
 """
 
 import math
+from collections import Counter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -31,6 +37,7 @@ from scipy.special import expit
 
 from docner import autodiff as ad
 from docner.autodiff import Tensor
+from docner.tagger import crf_gold_score
 
 
 def as_tensor(x) -> Tensor:
@@ -160,6 +167,12 @@ def crf_log_z(emissions: Tensor, crf) -> Tensor:
         return g * unary, g * d_trans
 
     return Tensor(log_z, (emissions, crf.transitions), back)
+
+
+def path_score(scores: np.ndarray, path: list[int], crf) -> float:
+    """The score of one label path through `scores`, as a plain float."""
+    with ad.no_grad():
+        return float(crf_gold_score(Tensor(scores), [path], crf).data)
 
 
 def viterbi(scores: np.ndarray, crf) -> tuple[list[int], float]:
@@ -299,3 +312,48 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor],
                 if err > max_err:
                     max_err = err
     return max_err
+
+
+def reference_train_vocab(corpus, vocab_size: int) -> list[tuple[str, str]]:
+    """The merges of greedy BPE, every pair recounted on every merge.
+
+    The most frequent pair wins, ties broken lexicographically, until
+    `vocab_size` symbols or no pair occurs twice. Unlike `train_vocab` it
+    takes a merge even when the result spells a symbol it already has, so
+    it returns the merges and builds no vocabulary.
+    """
+    token_counts: Counter[str] = Counter()
+    for sent in corpus.sentences():
+        token_counts.update(sent.texts)
+
+    alphabet = sorted({c for token in token_counts for c in token})
+    base = len(alphabet) + 4  # the four specials
+    if vocab_size < base:
+        raise ValueError(f"vocab_size {vocab_size} is below alphabet "
+                         f"size + specials ({base})")
+
+    words: dict[str, tuple[list[str], int]] = {
+        tok: ([*tok], cnt) for tok, cnt in sorted(token_counts.items())
+    }
+    merges: list[tuple[str, str]] = []
+    while base + len(merges) < vocab_size:
+        pair_counts: Counter[tuple[str, str]] = Counter()
+        for parts, cnt in words.values():
+            for i in range(len(parts) - 1):
+                pair_counts[(parts[i], parts[i + 1])] += cnt
+        if not pair_counts:
+            break
+        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        (a, b), count = best
+        if count < 2:
+            break
+        merges.append((a, b))
+        merged = a + b
+        for tok, (parts, cnt) in words.items():
+            i = 0
+            while i < len(parts) - 1:
+                if parts[i] == a and parts[i + 1] == b:
+                    parts[i:i + 2] = [merged]
+                else:
+                    i += 1
+    return merges

@@ -126,6 +126,37 @@ class TestParseConll:
         with pytest.raises(ParseError):
             parse_conll("word B\n")
 
+    def test_bad_tag_reported_at_its_first_line(self):
+        """Tags are validated once each; a bad one still names the first
+        line it is on, after many lines of valid (and repeated) tags."""
+        valid = ["w B-LOC", "w I-LOC", "w O", "", "w S-PER"] * 200
+        text = "\n".join(valid + ["w X-LOC", "w O", "w X-LOC"]) + "\n"
+        with pytest.raises(ParseError, match=r"^line 1001: tag 'X-LOC' does not match"):
+            parse_conll(text)
+
+    @pytest.mark.parametrize("token_column,tag_column,message", [
+        (3, -1, "expected at least 4 columns for the token column, got 3"),
+        (-4, -1, "expected at least 4 columns for the token column, got 3"),
+        (0, 3, "expected at least 4 columns for the tag column, got 3"),
+        (0, -4, "expected at least 4 columns for the tag column, got 3"),
+        (5, -6, "expected at least 6 columns for the token column, got 3"),
+    ])
+    def test_out_of_range_columns(self, token_column, tag_column, message):
+        """A short line names the line and the first column it lacks; the
+        lines before it have enough columns for both."""
+        text = "S-X S-X S-X S-X S-X S-X\nO O O O O O\n\nc NN O\n"
+        with pytest.raises(ParseError) as err:
+            parse_conll(text, token_column=token_column, tag_column=tag_column)
+        assert str(err.value) == f"line 4: {message}"
+
+    @pytest.mark.parametrize("last", ["E-ORG", "S-ORG"])
+    def test_end_or_single_tag_only_on_the_last_line_makes_bioes(self, last):
+        text = "\n".join(["a B-ORG", "b I-ORG", "c O", ""] * 50 + [f"d {last}"])
+        corpus = parse_conll(text)
+        assert corpus.scheme is TagScheme.BIOES
+        assert corpus.label_set == {"ORG"}
+        assert list(corpus.sentences())[-1].gold_tags == [last]
+
     def test_negative_tag_column(self):
         corpus = parse_conll("word NN extra B-PER\n", tag_column=-1)
         assert next(corpus.sentences()).tokens[0].gold_tag == "B-PER"

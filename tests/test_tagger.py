@@ -11,11 +11,10 @@ from docner import autodiff as ad
 from docner.autodiff import Tensor
 from docner.tagger import (BiLstmParams, CrfParams, Packing, bilstm_forward,
                            crf_gold_score, crf_log_z, crf_nll, greedy_decode,
-                           linear_head, path_score, path_transitions, softmax_nll,
-                           viterbi)
+                           linear_head, path_transitions, softmax_nll, viterbi)
 
 import oracle_ops
-from oracle_ops import grad_check, sigmoid, tanh
+from oracle_ops import grad_check, path_score, sigmoid, tanh
 
 
 def enumerate_paths(scores, crf):

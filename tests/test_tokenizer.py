@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from docner import synthetic
 from docner.corpus import parse_conll
 from docner.tokenizer import SubwordEncoding, SubwordVocab, encode, train_vocab
+
+from oracle_ops import reference_train_vocab
+
+SPECIALS = ("<s>", "</s>", "<unk>", "<pad>")
 
 
 def corpus_of(text):
@@ -44,6 +51,65 @@ class TestTrainVocab:
         corpus = corpus_of("abq abq baz baz")
         vocab = train_vocab(corpus, 4 + 4 + 1)  # alphabet + specials + 1 merge
         assert vocab.merges == [("a", "b")]
+
+    @pytest.mark.parametrize("special", SPECIALS)
+    def test_token_spelling_a_special_trains(self, special):
+        """BPE would merge the token's characters into the special's own
+        string; that merge is skipped, and the token still round-trips."""
+        tokens = [special] * 3 + [f"x{special}", "ab", "ab"]
+        vocab = train_vocab(corpus_of(" ".join(tokens)), 100)
+        assert special not in {a + b for a, b in vocab.merges}
+        assert ("a", "b") in vocab.merges
+        enc = encode(tokens, vocab)
+        assert vocab.unk_id not in enc.ids
+        assert [vocab.decode(enc.ids[f:f + n]) for f, n in
+                zip(enc.first_subtoken_of_token, enc.subtoken_count_per_token)] == tokens
+
+
+def assert_reference_merges(corpus, vocab_size):
+    """`train_vocab` takes the reference loop's merges. The reference also
+    takes a merge that spells a symbol it already has, which `train_vocab`
+    skips, so from there on the two may differ."""
+    expected = reference_train_vocab(corpus, vocab_size)
+    got = train_vocab(corpus, vocab_size).merges
+    symbols = set(SPECIALS) | {c for sent in corpus.sentences() for t in sent.texts
+                               for c in t}
+    for k, (a, b) in enumerate(expected):
+        if a + b in symbols:
+            assert got[:k] == expected[:k]
+            assert (a, b) not in got
+            return
+        symbols.add(a + b)
+    assert got == expected
+
+
+class TestTrainVocabAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_merges_match_the_reference_loop(self, data):
+        """Small alphabets make counts tie often; runs of one character
+        make pairs overlap; tokens that spell a special exercise the skipped
+        merges; vocab sizes run from the alphabet floor to past the last
+        possible merge."""
+        alphabet = data.draw(st.sampled_from(["a", "ab", "abc", "abcdefgh", "<s>/a"]))
+        char = st.sampled_from(alphabet)
+        token = st.one_of(st.text(char, min_size=1, max_size=8),
+                          st.builds(lambda c, n: c * n, char, st.integers(1, 9)),
+                          st.sampled_from(SPECIALS) if "<" in alphabet else st.nothing())
+        tokens = data.draw(st.lists(token, min_size=1, max_size=30))
+        base = len(set("".join(tokens))) + len(SPECIALS)
+        size = base + data.draw(st.integers(0, 120))
+        assert_reference_merges(corpus_of(" ".join(tokens)), size)
+
+    @pytest.mark.parametrize("make,docs", [(synthetic.cue_corpus, 250),
+                                           (synthetic.adversarial_boundary_corpus, 150),
+                                           (synthetic.cue_corpus, 70)])
+    def test_benchmark_training_corpora(self, make, docs):
+        """The training corpora of the three benchmark workloads, at their
+        vocab size and at one large enough to run out of pairs."""
+        corpus = make(docs, seed=7, split="train")
+        for size in (260, 1000):
+            assert_reference_merges(corpus, size)
 
 
 def eiffel_vocab():
