@@ -161,7 +161,8 @@ def cmd_predict(args) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
     corpus = parse_conll(text, token_column=args.token_column,
                          tag_column=args.tag_column)
-    predicted = predict_corpus(model, corpus, _override_context(model.context, args))
+    model.context = _override_context(model.context, args)
+    predicted = predict_corpus(model, corpus)
     tag_iter = (tok.predicted_tag for sent in predicted.sentences()
                 for tok in sent.tokens)
     out_lines = []

@@ -51,6 +51,9 @@ class TransformerConfig:
             raise ValueError("invalid transformer dimensions")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.max_positions < 3:
+            raise ValueError("max_positions must be at least 3: BOS, one subtoken "
+                             f"and EOS, got {self.max_positions}")
 
 
 class TransformerEncoder:

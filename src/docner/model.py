@@ -13,6 +13,7 @@ import inspect
 import io
 import itertools
 import json
+import zipfile
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -72,6 +73,9 @@ class NerModel:
             raise ValueError(f"mode must be one of {MODES}")
         if head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}")
+        if isinstance(entity_types, str):
+            raise ValueError("entity_types must be a collection of type names, "
+                             f"not the string {entity_types!r}")
         # the constructor's arguments, as `save` writes them for `load`; read
         # before any other local variable is bound
         self.settings = dict(locals(), entity_types=sorted(entity_types),
@@ -141,17 +145,15 @@ class NerModel:
 
     # -- forward paths -----------------------------------------------------
 
-    def contextualize(self, sentence: Sentence, corpus: Corpus,
-                      context: ContextConfig | None = None) -> ContextualizedSentence:
-        """The sentence with its context, fitted to the encoder's positions.
+    def contextualize(self, sentence: Sentence, corpus: Corpus) -> ContextualizedSentence:
+        """The sentence with its `context`, fitted to the encoder's positions.
 
         The subtoken stream of the last corpus served is kept, so a corpus
         tagged sentence by sentence has each sentence encoded once.
         """
         if self._stream is None or self._stream.documents is not corpus.documents:
             self._stream = SubtokenStream(corpus.documents, self.vocab)
-        ctx = build_context(sentence, self._stream,
-                            context if context is not None else self.context)
+        ctx = build_context(sentence, self._stream, self.context)
         return fit_to_length(ctx, self.encoder.config.max_positions)
 
     def token_features(self, tokens: list[list[str]], ctxs: list[ContextualizedSentence],
@@ -187,28 +189,23 @@ class NerModel:
     def emissions_from_features(self, features: Tensor | np.ndarray,
                                 packing: Packing | None) -> Tensor:
         """Label scores of a batch's core tokens from its flat feature rows,
-        sentence after sentence, a Tensor or, with no gradient wanted for
-        them, a plain array; a BiLSTM steps the sentences together in
+        sentence after sentence: a Tensor in fine-tuning, a constant array of
+        frozen features otherwise. A BiLSTM steps the sentences together in
         `packing`, which only it reads."""
         if self.bilstm is not None:
             features = bilstm_forward(features, packing, self.bilstm)
         return linear_head(features, self.head_w, self.head_b)
 
-    def batch_loss(self, tokens: list[list[str]], ctxs: list[ContextualizedSentence],
-                   gold_ids: list[list[int]], rng: np.random.Generator | None = None,
-                   frozen_features: list[np.ndarray] | None = None) -> Tensor:
-        """Mean sentence loss of a minibatch, its encoder, BiLSTM and CRF each
-        run once over the batch.
+    def batch_loss(self, features: Tensor | np.ndarray,
+                   gold_ids: list[list[int]]) -> Tensor:
+        """Mean sentence loss of a minibatch from its flat feature rows,
+        sentence after sentence: `token_features(..., train=True)` in
+        fine-tuning, the concatenated `frozen_features` otherwise. The
+        BiLSTM and CRF each run once over the batch.
 
         The linear head's loss is one softmax cross-entropy over every core
         token of the batch, the CRF's one batched negative log-likelihood.
         """
-        if self.mode == "feature":
-            if frozen_features is None:
-                frozen_features = self.frozen_features(tokens, ctxs)
-            features = np.concatenate(frozen_features)  # a constant
-        else:
-            features = self.token_features(tokens, ctxs, train=True, rng=rng)
         packing = (None if self.bilstm is None and self.crf is None
                    else Packing([len(gold) for gold in gold_ids]))
         emissions = self.emissions_from_features(features, packing)
@@ -252,14 +249,12 @@ class NerModel:
         return tags
 
     def decode_tags(self, tokens: list[str], ctx: ContextualizedSentence,
-                    scheme: TagScheme = TagScheme.BIOES,
-                    frozen_features: np.ndarray | None = None) -> list[str]:
+                    scheme: TagScheme = TagScheme.BIOES) -> list[str]:
         """Predicted tags of one sentence re-encoded in `scheme` (repairs
         silently): `tag_features` on a batch of one."""
-        if frozen_features is None:
-            with ad.no_grad():
-                frozen_features = self.token_features([tokens], [ctx]).data
-        return self.tag_features([frozen_features], scheme)[0]
+        with ad.no_grad():
+            features = self.token_features([tokens], [ctx]).data
+        return self.tag_features([features], scheme)[0]
 
     def gold_ids(self, sentence: Sentence, scheme: TagScheme) -> list[int]:
         tags = convert_scheme(sentence.gold_tags, scheme, TagScheme.BIOES)
@@ -283,21 +278,49 @@ class NerModel:
 
     @classmethod
     def load(cls, path) -> "NerModel":
-        """Rebuild a saved model; malformed checkpoints fail with a message
-        that names the offending meta key or parameter."""
-        with np.load(path) as data:
-            settings = json.loads(bytes(data["meta"]).decode())
+        """Rebuild a saved model; malformed checkpoints fail with a ValueError
+        that names the file, or the offending meta key or parameter."""
+        try:
+            data = np.load(path)
+        except (ValueError, EOFError, zipfile.BadZipFile) as err:
+            raise ValueError(f"{path} is not a checkpoint archive: {err}") from None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path} is not a checkpoint archive: it holds one array")
+        with data:
+            if "meta" not in data.files:
+                raise ValueError(f"checkpoint {path} has no meta entry")
+            try:
+                settings = json.loads(bytes(data["meta"]).decode())
+            except ValueError as err:
+                raise ValueError(f"checkpoint meta is not JSON text: {err}") from None
+            if not isinstance(settings, dict):
+                raise ValueError(f"checkpoint meta must hold an object, got {settings!r}")
             version = settings.pop("format_version", None)
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            unknown = sorted(set(settings) - set(inspect.signature(cls).parameters))
+            parameters = inspect.signature(cls).parameters
+            unknown = sorted(set(settings) - set(parameters))
             if unknown:
                 raise ValueError(f"unknown checkpoint meta keys: {', '.join(unknown)}")
+            missing = [name for name, p in parameters.items()
+                       if p.default is p.empty and name not in settings]
+            if missing:
+                raise ValueError(f"checkpoint meta lacks keys: {', '.join(missing)}")
+            types = settings["entity_types"]
+            if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+                raise ValueError("checkpoint meta entity_types must hold a list of "
+                                 f"strings, got {types!r}")
+            if not isinstance(settings["vocab"], str):
+                raise ValueError("checkpoint meta vocab must hold the vocabulary text")
             if isinstance(settings.get("transformer"), dict):
                 # earlier versions also saved the embedding rows, always len(vocab)
                 settings["transformer"].pop("vocab_size", None)
+            try:
+                vocab = SubwordVocab.loads(settings["vocab"])
+            except ValueError as err:
+                raise ValueError(f"checkpoint meta vocab: {err}") from None
             settings.update(
-                vocab=SubwordVocab.loads(settings["vocab"]),
+                vocab=vocab,
                 **{key: config_block(f"checkpoint meta {key}", sub, settings.get(key))
                    for key, sub in (("transformer", TransformerConfig),
                                     ("context", ContextConfig))})
@@ -310,6 +333,8 @@ class NerModel:
                     raise ValueError(f"checkpoint {problem}: " + ", ".join(sorted(names)))
             for name, tensor in named.items():
                 stored = data[f"param/{name}"]
+                if not isinstance(stored, np.ndarray) or stored.dtype.kind not in "biuf":
+                    raise ValueError(f"checkpoint parameter {name} is not a numeric array")
                 if stored.shape != tensor.data.shape:
                     raise ValueError(f"checkpoint parameter {name} has shape "
                                      f"{stored.shape}, expected {tensor.data.shape}")
@@ -342,18 +367,17 @@ def _longest_first(lengths: list[int]):
         start += size
 
 
-def predict_corpus(model: NerModel, corpus: Corpus,
-                   context: ContextConfig | None = None) -> Corpus:
+def predict_corpus(model: NerModel, corpus: Corpus) -> Corpus:
     """Tag every sentence; returns a corpus copy with predictions attached.
 
-    The whole corpus is contextualized, encoded without a graph in
-    length-sorted batches (`NerModel.frozen_features`), then decoded in
-    length-sorted batches (`NerModel.tag_features`). Predictions are
-    converted from the model's internal BIOES scheme back to the corpus
-    scheme.
+    The whole corpus is contextualized under `model.context`, encoded
+    without a graph in length-sorted batches (`NerModel.frozen_features`),
+    then decoded in length-sorted batches (`NerModel.tag_features`).
+    Predictions are converted from the model's internal BIOES scheme back
+    to the corpus scheme.
     """
     sentences = list(corpus.sentences())
     texts = [sentence.texts for sentence in sentences]
-    ctxs = [model.contextualize(sentence, corpus, context) for sentence in sentences]
+    ctxs = [model.contextualize(sentence, corpus) for sentence in sentences]
     features = model.frozen_features(texts, ctxs)
     return with_predictions(corpus, model.tag_features(features, corpus.scheme))

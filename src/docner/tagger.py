@@ -25,9 +25,9 @@ directions stepped together; backpropagation through time) are one graph
 node per batch with a hand-written backward, and Viterbi decodes a batch
 in one pass. The BiLSTM projects each direction's gathered input rows
 straight into that direction's packed gate rows, which the activations
-then overwrite, so its node's parents are the two directions' w, u and b,
-plus the features when they are a Tensor. The gold-path score and the
-linear head are ordinary autodiff ops on the same tape.
+then overwrite; its input is a constant, so its node's parents are the two
+directions' w, u and b. The gold-path score and the linear head are
+ordinary autodiff ops on the same tape.
 
 Losses take emission Tensors and record a graph; the decoders
 (`greedy_decode`, `viterbi`) take plain score arrays.
@@ -341,7 +341,7 @@ class BiLstmParams:
         return list(self.params.values())
 
 
-def bilstm_forward(features, packing: Packing, params: BiLstmParams) -> Tensor:
+def bilstm_forward(features: np.ndarray, packing: Packing, params: BiLstmParams) -> Tensor:
     """Both LSTM directions from zero states over every sentence of a batch;
     a token's output row is its forward then its backward hidden state.
 
@@ -355,22 +355,20 @@ def bilstm_forward(features, packing: Packing, params: BiLstmParams) -> Tensor:
     overwrite them. A step reads its predecessors' hidden states and cells
     from the packed rows it writes, and backpropagation through time reads
     its successors' gradients the same way; step 0 starts from zero states.
-    A single graph node over (w, u, b) of both directions, plus `features`
-    when it is a Tensor; features passed as a plain array are a constant.
-    Under no_grad the node drops its backward and the activations it stored
-    with it.
+    A single graph node over (w, u, b) of both directions; `features` is a
+    constant array, with no gradient. Under no_grad the node drops its
+    backward and the activations it stored with it.
     """
     p, hidden = params.params, params.hidden
-    x = features.data if isinstance(features, Tensor) else features
-    _check_shape(x, packing.rows)
+    _check_shape(features, packing.rows)
     rows = (packing.forward, packing.backward)
     bounds, size = packing.bounds, packing.rows
     w_fw, w_bw = p["fw.w"].data, p["bw.w"].data
     # the inputs' projections, until the activations (gate order i, f, g, o)
     # overwrite them
     gates = np.empty((size, 2, 4 * hidden))
-    np.matmul(x[rows[0]], w_fw, out=gates[:, 0])
-    np.matmul(x[rows[1]], w_bw, out=gates[:, 1])
+    np.matmul(features[rows[0]], w_fw, out=gates[:, 0])
+    np.matmul(features[rows[1]], w_bw, out=gates[:, 1])
     # one matmul per direction and step: stacking the recurrent weights would
     # copy [2, H, 4H] per call, which costs a short sentence more
     u_fw, u_bw = p["fw.u"].data, p["bw.u"].data
@@ -433,20 +431,15 @@ def bilstm_forward(features, packing: Packing, params: BiLstmParams) -> Tensor:
             dc[on] += dc[after] * f[after]
             np.multiply(by_dc[a:z], dc[a:z, :, None], out=d_by_gate[a:z, :, :3])
             np.multiply(dh[a:z], by_dh[a:z], out=d_by_gate[a:z, :, 3])
-        grads, d_x = [], None
-        for d, w in enumerate((w_fw, w_bw)):
+        grads = []
+        for d in range(2):
             # back to token order, so the weight gradients sum tokens in that order
             d_pre_flat = np.empty((size, 4 * hidden))
             d_pre_flat[rows[d]] = d_pre[:, d]
             h_prev_flat = np.empty((size, hidden))
             h_prev_flat[rows[d]] = h_prev[:, d]
-            grads += [x.T @ d_pre_flat, h_prev_flat.T @ d_pre_flat,
+            grads += [features.T @ d_pre_flat, h_prev_flat.T @ d_pre_flat,
                       d_pre_flat.sum(axis=0)]
-            if isinstance(features, Tensor):
-                d_x = d_pre_flat @ w.T if d_x is None else d_x + d_pre_flat @ w.T
-        return grads if d_x is None else [*grads, d_x]
+        return grads
 
-    parents = params.parameters()
-    if isinstance(features, Tensor):
-        parents.append(features)
-    return Tensor(flat_out, tuple(parents), back)
+    return Tensor(flat_out, tuple(params.parameters()), back)

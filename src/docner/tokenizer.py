@@ -96,24 +96,34 @@ class SubwordVocab:
 
     @classmethod
     def loads(cls, text: str) -> "SubwordVocab":
+        """Parse `dumps` text. A malformed line, or a merge of anything but
+        two symbols defined above it, is a ValueError giving the line."""
         alphabet: list[str] = []
         merges: list[tuple[str, str]] = []
+        symbols: set[str] = set()
         section = None
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             if line.startswith("#"):
                 section = line[1:].strip()
                 continue
-            if not line:
-                continue
-            if section == "alphabet":
-                alphabet.append(_unescape(line))
-            elif section == "merges":
-                a, b = line.split(" ")
-                merges.append((_unescape(a), _unescape(b)))
-            elif section == "specials":
-                pass  # ids are positional, declarations are informative
-            else:
-                raise ValueError(f"unexpected line outside a section: {line!r}")
+            if not line or section == "specials":
+                continue  # special ids are positional, declarations are informative
+            try:
+                if section == "alphabet":
+                    alphabet.append(_unescape(line))
+                    symbols.add(alphabet[-1])
+                elif section != "merges":
+                    raise ValueError("unexpected line outside a section")
+                else:
+                    parts = [_unescape(part) for part in line.split(" ")]
+                    if len(parts) != 2:
+                        raise ValueError("a merge line holds two symbols")
+                    if not symbols.issuperset(parts):
+                        raise ValueError("a merge part is not a symbol defined above it")
+                    merges.append((parts[0], parts[1]))
+                    symbols.add(parts[0] + parts[1])
+            except ValueError as err:
+                raise ValueError(f"vocab line {number} {line!r}: {err}") from None
         return cls(alphabet=alphabet, merges=merges)
 
     def save(self, path) -> None:

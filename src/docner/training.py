@@ -35,9 +35,8 @@ class FineTuneConfig:
     include_dev: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 0:
-            raise ValueError("learning rate and batch size must be positive, "
-                             "epochs non-negative")
+        _check_positive(self, "learning_rate", "lr_scale", "batch_size")
+        _check_positive(self, "weight_decay", "max_epochs", zero_ok=True)
 
     @property
     def peak_lr(self) -> float:
@@ -54,12 +53,23 @@ class FeatureBasedConfig:
     min_lr: float = 1e-4
 
     def __post_init__(self):
+        _check_positive(self, "learning_rate", "min_lr", "batch_size", "max_epochs",
+                        "patience")
         if not 0.0 < self.anneal_factor < 1.0:
-            raise ValueError("anneal factor must be in (0, 1)")
+            raise ValueError("anneal_factor must be in (0, 1)")
         if self.min_lr >= self.learning_rate:
-            raise ValueError("min_lr must be below the learning rate")
-        if self.patience < 1 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("patience, batch size, epochs must be positive")
+            raise ValueError("min_lr must be below the learning_rate")
+
+
+def _check_positive(config, *names: str, zero_ok: bool = False) -> None:
+    """Raise a ValueError naming the first of `config`'s fields `names` whose
+    value is not a finite number above zero (or, with `zero_ok`, at least
+    zero)."""
+    for name in names:
+        value = getattr(config, name)
+        if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+            raise ValueError(f"{name} must be a finite number "
+                             f"{'>= 0' if zero_ok else '> 0'}, got {value!r}")
 
 
 @dataclass
@@ -168,7 +178,8 @@ def _run_epoch(model: NerModel, items: list[_Item], batch_size: int,
                opt: AdamW | Sgd, rng: np.random.Generator,
                next_lr: Callable[[], float]) -> tuple[float, float]:
     """One pass over `items` in a fresh random order, one optimizer step per
-    minibatch at `next_lr()` on its mean sentence loss (`NerModel.batch_loss`).
+    minibatch at `next_lr()` on its mean sentence loss (`NerModel.batch_loss`)
+    over the items' frozen features, or else a training pass of the encoder.
 
     Returns the mean batch loss and the last learning rate.
     """
@@ -179,11 +190,12 @@ def _run_epoch(model: NerModel, items: list[_Item], batch_size: int,
         batch = [items[j] for j in order[i:i + batch_size]]
         lr = next_lr()
         opt.zero_grad()
-        batch_loss = model.batch_loss(
-            [it.tokens for it in batch], [it.ctx for it in batch],
-            [it.gold for it in batch], rng=rng,
-            frozen_features=(None if batch[0].features is None
-                             else [it.features for it in batch]))
+        if batch[0].features is None:
+            features = model.token_features([it.tokens for it in batch],
+                                            [it.ctx for it in batch], train=True, rng=rng)
+        else:
+            features = np.concatenate([it.features for it in batch])  # a constant
+        batch_loss = model.batch_loss(features, [it.gold for it in batch])
         batch_loss.backward()
         opt.step(lr)
         losses.append(float(batch_loss.data))

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import docner.model
 from docner.cli import main
 from docner.context import ContextConfig
 from docner.corpus import format_conll, parse_conll
 from docner.encoder import TransformerConfig
 from docner.model import NerModel
-from docner.synthetic import overfit_corpus
+from docner.synthetic import cue_corpus, overfit_corpus
 from docner.tokenizer import SubwordVocab, train_vocab
 from test_corpus import conll_texts
 
@@ -186,6 +187,32 @@ class TestPredictKeepsInput:
             else:
                 assert out.startswith(f"{line} ")
                 assert re.fullmatch(r"O|[BI]-\w+", out[len(line) + 1:])
+
+
+class TestPredictContextFlags:
+    def test_context_window_flag_sets_the_model_context(self, untrained_checkpoint,
+                                                        monkeypatch):
+        corpus = cue_corpus(2, seed=5, split="test")
+        assert len(corpus.documents) == 2
+        source = untrained_checkpoint.with_name("two_docs.conll")
+        source.write_text(format_conll(corpus), encoding="utf-8")
+        saved = untrained_checkpoint.read_bytes()
+        windows = []
+        build_context = docner.model.build_context
+
+        def spy(sentence, stream, config):
+            windows.append(config.window)
+            return build_context(sentence, stream, config)
+
+        monkeypatch.setattr(docner.model, "build_context", spy)
+        for flags in ([], ["--context-window", "0"]):
+            windows.clear()
+            assert main(["predict", "--checkpoint", str(untrained_checkpoint),
+                         "--input", str(source),
+                         "--output", str(source.with_suffix(".out")), *flags]) == 0
+            assert len(windows) == corpus.num_sentences
+            assert set(windows) == {0 if flags else 4}
+        assert untrained_checkpoint.read_bytes() == saved
 
 
 class TestRunExperiment:

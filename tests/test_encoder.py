@@ -49,6 +49,11 @@ class TestTransformerConfig:
         with pytest.raises(ValueError):
             TransformerConfig(dropout=1.0)
 
+    def test_positions_fit_bos_one_subtoken_and_eos(self):
+        with pytest.raises(ValueError, match="max_positions"):
+            TransformerConfig(max_positions=2)
+        assert TransformerConfig(max_positions=3).max_positions == 3
+
 
 class TestEncodeTransformer:
     def test_right_context_changes_core_rows(self, encoder):

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import zipfile
 from unittest import mock
 
 import numpy as np
@@ -73,23 +74,15 @@ class TestForwardPaths:
                          word_tokens=["went", "to"], seed=0)
         sentence = next(corpus.sentences())
         ctx = model.contextualize(sentence, corpus)
-        loss = model.batch_loss([sentence.texts], [ctx],
-                                [model.gold_ids(sentence, corpus.scheme)])
+        if mode == "feature":
+            features = model.frozen_features([sentence.texts], [ctx])[0]
+        else:
+            features = model.token_features([sentence.texts], [ctx], train=True)
+        loss = model.batch_loss(features, [model.gold_ids(sentence, corpus.scheme)])
         assert np.isfinite(loss.data)
         tags = model.decode_tags(sentence.texts, ctx)
         assert len(tags) == len(sentence)
         assert set(tags) <= set(model.labels)
-
-    def test_feature_mode_accepts_precomputed_features(self, setup):
-        corpus, vocab = setup
-        model = NerModel(vocab, corpus.label_set, TINY, mode="feature",
-                         head="crf", bilstm_hidden=8, seed=0)
-        sentence = next(corpus.sentences())
-        ctx = model.contextualize(sentence, corpus)
-        feats = model.frozen_features([sentence.texts], [ctx])[0]
-        direct = model.decode_tags(sentence.texts, ctx)
-        cached = model.decode_tags(sentence.texts, ctx, frozen_features=feats)
-        assert direct == cached
 
     def test_feature_loss_graph_does_not_grow_with_length(self, setup):
         corpus, vocab = setup
@@ -100,7 +93,7 @@ class TestForwardPaths:
         for n in (5, 50):
             features = rng.normal(size=(n, TINY.model_dim))
             gold = list(rng.integers(0, len(model.labels), n))
-            loss = model.batch_loss([[]], [None], [gold], frozen_features=[features])
+            loss = model.batch_loss(features, [gold])
             sizes.append(graph_size(loss))
         assert sizes[0] == sizes[1]
 
@@ -109,10 +102,11 @@ class TestForwardPaths:
         model = NerModel(vocab, corpus.label_set, FOUR_LAYERS, head="crf",
                          context=ContextConfig(window=6), seed=0)
         sentences = list(corpus.sentences())[:3]
-        loss = model.batch_loss([s.texts for s in sentences],
-                                [model.contextualize(s, corpus) for s in sentences],
-                                [model.gold_ids(s, corpus.scheme) for s in sentences],
-                                rng=np.random.default_rng(0))
+        features = model.token_features([s.texts for s in sentences],
+                                        [model.contextualize(s, corpus) for s in sentences],
+                                        train=True, rng=np.random.default_rng(0))
+        loss = model.batch_loss(features,
+                                [model.gold_ids(s, corpus.scheme) for s in sentences])
         nodes = graph_nodes(loss)
         p = model.encoder.params
         readers = {}
@@ -177,7 +171,8 @@ def assert_batch_matches_reference(model, corpus, picked):
         return total * (1.0 / len(sentences))
 
     loss, grads = loss_and_gradients(
-        model, lambda: model.batch_loss(tokens, ctxs, gold))
+        model, lambda: model.batch_loss(
+            model.token_features(tokens, ctxs, train=True), gold))
     ref_loss, ref_grads = loss_and_gradients(model, reference)
     assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0)
     largest = max(np.abs(ref).max() for ref in ref_grads)
@@ -247,8 +242,8 @@ class TestBatchedLoss:
                 total = total + oracle_sentence_loss(f, g)
             return total * (1.0 / len(lengths))
 
-        loss, grads = loss_and_gradients(model, lambda: model.batch_loss(
-            [[]] * len(lengths), [None] * len(lengths), gold, frozen_features=features))
+        loss, grads = loss_and_gradients(
+            model, lambda: model.batch_loss(np.concatenate(features), gold))
         ref_loss, ref_grads = loss_and_gradients(model, reference)
         assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0)
         for g, ref in zip(grads, ref_grads):
@@ -263,8 +258,10 @@ class TestBatchedLoss:
         assert len({c.assembled_length for c in ctxs}) > 1  # the batch is padded
         tokens = [s.texts for s in sentences]
         gold = [model.gold_ids(s, corpus.scheme) for s in sentences]
-        err = oracle_ops.grad_check(lambda: model.batch_loss(tokens, ctxs, gold) * 1e-4,
-                                    model.all_parameters(), epsilon=1e-5)
+        err = oracle_ops.grad_check(
+            lambda: model.batch_loss(model.token_features(tokens, ctxs, train=True),
+                                     gold) * 1e-4,
+            model.all_parameters(), epsilon=1e-5)
         assert err < 1e-5
 
 
@@ -358,6 +355,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="head_b.*non-finite"):
             NerModel.load(path)
 
+    def test_non_numeric_parameter_rejected(self, setup, tmp_path):
+        def as_text(arrays):
+            arrays["param/head_b"] = arrays["param/head_b"].astype(str)
+        path = saved_then_edited(setup, tmp_path, edit_arrays=as_text)
+        with pytest.raises(ValueError, match="head_b is not a numeric array"):
+            NerModel.load(path)
+        garbled = tmp_path / "garbled.npz"
+        with zipfile.ZipFile(path) as source, zipfile.ZipFile(garbled, "w") as target:
+            for member in source.namelist():
+                target.writestr(member, b"garbage" if member == "param/head_b.npy"
+                                else source.read(member))
+        with pytest.raises(ValueError, match="head_b is not a numeric array"):
+            NerModel.load(garbled)
+
     def test_head_width_must_match_label_set(self, setup, tmp_path):
         def drop_label(arrays):
             arrays["param/head_w"] = arrays["param/head_w"][:, :-1]
@@ -386,6 +397,57 @@ class TestCheckpoint:
         path = saved_then_edited(setup, tmp_path,
                                  edit_arrays=lambda arrays: arrays.pop("param/head_b"))
         with pytest.raises(ValueError, match="lacks parameters: head_b"):
+            NerModel.load(path)
+
+    def test_non_archive_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "notes.npz"
+        path.write_bytes(b"not a checkpoint\n")
+        with pytest.raises(ValueError, match=r"notes\.npz is not a checkpoint archive"):
+            NerModel.load(path)
+
+    def test_archive_without_meta_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        np.savez(path, **{"param/head_b": np.zeros(3)})
+        with pytest.raises(ValueError, match="model.npz has no meta entry"):
+            NerModel.load(path)
+
+    @pytest.mark.parametrize("meta,message", [(b"[1, 2]", "must hold an object"),
+                                              (b"{", "is not JSON text")])
+    def test_meta_that_is_not_an_object_rejected(self, tmp_path, meta, message):
+        path = tmp_path / "model.npz"
+        np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"checkpoint meta {message}"):
+            NerModel.load(path)
+
+    @pytest.mark.parametrize("key", ["vocab", "entity_types"])
+    def test_missing_required_meta_key_named(self, setup, tmp_path, key):
+        path = saved_then_edited(setup, tmp_path, edit_meta=lambda meta: meta.pop(key))
+        with pytest.raises(ValueError, match=f"checkpoint meta lacks keys: {key}$"):
+            NerModel.load(path)
+
+    def test_entity_types_string_rejected(self, setup, tmp_path):
+        corpus, vocab = setup
+        assert len(corpus.label_set) == len("PER")  # the label count would match
+        path = saved_then_edited(
+            setup, tmp_path, edit_meta=lambda meta: meta.update(entity_types="PER"))
+        with pytest.raises(ValueError, match="entity_types must hold a list of strings"):
+            NerModel.load(path)
+        with pytest.raises(ValueError, match="entity_types"):
+            NerModel(vocab, "PER", TINY)
+
+    def test_malformed_vocab_meta_gives_the_line(self, setup, tmp_path):
+        path = saved_then_edited(
+            setup, tmp_path,
+            edit_meta=lambda meta: meta.update(vocab=meta["vocab"].replace(
+                "#merges\n", "#merges\na b c\n")))
+        with pytest.raises(ValueError, match=r"checkpoint meta vocab: vocab line \d+ "
+                                             r"'a b c'"):
+            NerModel.load(path)
+
+    def test_vocab_meta_that_is_not_text_rejected(self, setup, tmp_path):
+        path = saved_then_edited(setup, tmp_path,
+                                 edit_meta=lambda meta: meta.update(vocab=["a"]))
+        with pytest.raises(ValueError, match="checkpoint meta vocab must hold"):
             NerModel.load(path)
 
     @pytest.mark.parametrize("strategy", ["bogus", "last_four_concat"])
@@ -513,13 +575,6 @@ class TestPredictCorpus:
         b = predict_corpus(model, corpus)
         assert [t.predicted_tag for s in a.sentences() for t in s.tokens] == \
             [t.predicted_tag for s in b.sentences() for t in s.tokens]
-
-    def test_context_override_restores_model_default(self, setup):
-        corpus, vocab = setup
-        model = NerModel(vocab, corpus.label_set, TINY,
-                         context=ContextConfig(window=7), seed=0)
-        predict_corpus(model, corpus, ContextConfig(window=0))
-        assert model.context.window == 7
 
     def test_invalid_mode_or_head_rejected(self, setup):
         corpus, vocab = setup

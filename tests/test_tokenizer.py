@@ -186,6 +186,29 @@ class TestSerialization:
         assert loaded.encode_token("a#1") == vocab.encode_token("a#1")
 
 
+class TestMalformedVocabText:
+    @pytest.mark.parametrize("text,line", [
+        ("#alphabet\na\nb\n#merges\na\n", "5 'a'"),
+        ("#alphabet\na\nb\n#merges\na b a\n", "5 'a b a'"),
+        ("#alphabet\na\n#merges\na b\n", "4 'a b'"),
+        ("#alphabet\na\nb\n#merges\nab a\na b\n", "5 'ab a'"),
+        ("#alphabet\n\\x\n", r"2 '\\\\x'"),
+    ], ids=["one-symbol", "three-symbols", "unknown-part", "part-defined-below",
+            "broken-escape"])
+    def test_error_gives_the_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^vocab line {line}"):
+            SubwordVocab.loads(text)
+
+    @pytest.mark.parametrize("make,docs", [(synthetic.cue_corpus, 250),
+                                           (synthetic.adversarial_boundary_corpus, 150),
+                                           (synthetic.cue_corpus, 70)])
+    def test_benchmark_training_vocabs_round_trip(self, make, docs):
+        vocab = train_vocab(make(docs, seed=7, split="train"), 260)
+        loaded = SubwordVocab.loads(vocab.dumps())
+        assert (loaded.alphabet, loaded.merges) == (vocab.alphabet, vocab.merges)
+        assert loaded.id_to_symbol == vocab.id_to_symbol
+
+
 class TestSubwordEncodingInvariants:
     def test_counts_must_sum(self):
         with pytest.raises(ValueError):

@@ -165,9 +165,9 @@ class TestTrainFinetune:
         calls = {"n": 0}
         original = model.batch_loss
 
-        def counting(tokens, *args, **kwargs):
-            calls["n"] += len(tokens)
-            return original(tokens, *args, **kwargs)
+        def counting(features, gold):
+            calls["n"] += len(gold)
+            return original(features, gold)
 
         monkeypatch.setattr(model, "batch_loss", counting)
         cfg = FineTuneConfig(max_epochs=1, include_dev=True)
@@ -309,3 +309,17 @@ class TestConfigValidation:
             FeatureBasedConfig(anneal_factor=1.5)
         with pytest.raises(ValueError):
             FeatureBasedConfig(min_lr=0.2)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr_scale", 0.0), ("lr_scale", -100.0), ("weight_decay", -1.0),
+        ("learning_rate", math.nan)])
+    def test_finetune_names_the_field_that_breaks_training(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FineTuneConfig(**{field: value})
+
+    @pytest.mark.parametrize("values,field", [
+        ({"learning_rate": -0.5, "min_lr": -1.0}, "learning_rate"),
+        ({"min_lr": 0.0}, "min_lr")])
+    def test_feature_names_the_field_that_breaks_training(self, values, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FeatureBasedConfig(**values)
