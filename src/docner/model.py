@@ -189,9 +189,9 @@ class NerModel:
     def emissions_from_features(self, features: Tensor | np.ndarray,
                                 packing: Packing | None) -> Tensor:
         """Label scores of a batch's core tokens from its flat feature rows,
-        sentence after sentence: a Tensor in fine-tuning, a constant array of
-        frozen features otherwise. A BiLSTM steps the sentences together in
-        `packing`, which only it reads."""
+        sentence after sentence: a Tensor when a fine-tuning loss trains the
+        encoder, a constant array otherwise. A BiLSTM steps the sentences
+        together in `packing`, which only it reads."""
         if self.bilstm is not None:
             features = bilstm_forward(features, packing, self.bilstm)
         return linear_head(features, self.head_w, self.head_b)
