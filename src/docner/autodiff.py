@@ -1,16 +1,22 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float numpy arrays.
 
 Every operation builds a node graph: each :class:`Tensor` produced by an op
 keeps references to its parents together with a gradient closure. Calling
 ``backward()`` on a scalar walks the recorded graph once, in reverse
 topological order, accumulating gradients into ``.grad``.
 
-The engine is deliberately small: dense float64 arrays only, no views into
-shared storage, no in-place ops on tracked tensors. A variable, trainable
-or frozen, is ``Tensor(array)``. An operand passed as a plain array is a
-constant: the op records it as no parent and computes no gradient for it,
-so code that needs no gradient for an input passes its array. Inference
-code should run inside ``no_grad()`` so no graph is recorded.
+The engine is deliberately small: dense float arrays only, no views into
+shared storage, no in-place ops on tracked tensors. A Tensor keeps the
+dtype of a float input, so a graph computes in the dtype of its variables
+(a model's parameters are float32, the oracles' inputs float64); any other
+input becomes float64. A graph holds one dtype: an op over two promotes to
+the wider, and the backward raises on the gradient it would cast back.
+
+A variable, trainable or frozen, is ``Tensor(array)``. An operand passed as
+a plain array is a constant: the op records it as no parent and computes
+no gradient for it, so code that needs no gradient for an input passes its
+array. Inference code should run inside ``no_grad()`` so no graph is
+recorded.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array node in the autodiff graph.
+    """A float array node in the autodiff graph: a float input keeps its
+    dtype, any other input becomes float64.
 
     `_backward` maps the upstream gradient of this node to a tuple of
     gradients for `_parents` (one entry per parent, same order).
@@ -63,7 +70,8 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, _parents: tuple = (), _backward: Callable | None = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         if _GRAD_ENABLED:
             self._parents = _parents
@@ -76,13 +84,18 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable parent.
 
-        Visits each node exactly once, in reverse topological order.
+        Visits each node exactly once, in reverse topological order. A
+        gradient whose dtype is not its operand's is a TypeError.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
@@ -107,6 +120,9 @@ class Tensor:
                 continue
             parent_grads = node._backward(node.grad)
             for parent, g in zip(node._parents, parent_grads):
+                if g.dtype != parent.data.dtype:  # storing it would hide an upcast
+                    raise TypeError(f"a {g.dtype} gradient for a {parent.data.dtype} "
+                                    "operand: the graph mixes dtypes")
                 if parent.grad is None:
                     # copied, never aliased: `add` hands one array to both parents
                     parent.grad = np.empty_like(parent.data)

@@ -124,7 +124,7 @@ class TransformerEncoder:
         key_mask = None
         if min(lengths) < n:
             padded = np.arange(n) >= np.asarray(lengths)[:, None]
-            key_mask = np.where(padded, -np.inf, 0.0)[:, None, None, :]
+            key_mask = np.where(padded, -np.inf, 0.0).astype(x.dtype)[:, None, None, :]
         drop = (c.dropout, rng) if train and c.dropout > 0.0 else None
         hidden = [x]
         for i in range(c.layers):
@@ -165,11 +165,11 @@ class TransformerEncoder:
             y += b.data
             return y
 
-        def dropped(t):  # in place
+        def dropped(t):  # in place; the mask in t's dtype keeps the backward in it
             if drop is None:
                 return t, None
             rate, rng = drop
-            mask = (rng.random(t.shape) >= rate) / (1.0 - rate)
+            mask = np.divide(rng.random(t.shape) >= rate, 1.0 - rate, dtype=t.dtype)
             t *= mask
             return t, mask
 

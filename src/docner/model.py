@@ -57,6 +57,11 @@ class NerModel:
 
     `settings` holds the arguments the model was built with; `save` writes
     them and `load` passes them back to the constructor.
+
+    A model computes in the dtype of its parameters; every activation,
+    gradient and optimizer moment follows it. The constructor draws the
+    parameters in float64 and rounds them to float32 once, at its end. A
+    checkpoint loads in the dtype it was saved in.
     """
 
     def __init__(self, vocab: SubwordVocab, entity_types,
@@ -119,8 +124,20 @@ class NerModel:
             self.crf = CrfParams(num_labels, rng)
             if constrain_transitions:
                 self.crf.constrain(self.labels)
+        for p in self.all_parameters():
+            p.data = p.data.astype(np.float32)
 
     # -- parameter plumbing ------------------------------------------------
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the parameters, which inputs must share."""
+        return self.head_w.dtype
+
+    def _check_dtype(self, features) -> None:
+        if features.dtype != self.dtype:
+            raise ValueError(f"{features.dtype} features for a model whose "
+                             f"parameters are {self.dtype}")
 
     def all_parameters(self) -> list[Tensor]:
         return list(self._named_parameters().values())
@@ -205,7 +222,10 @@ class NerModel:
 
         The linear head's loss is one softmax cross-entropy over every core
         token of the batch, the CRF's one batched negative log-likelihood.
+        Features of another dtype than the parameters are a ValueError: they
+        would promote the whole graph.
         """
+        self._check_dtype(features)
         packing = (None if self.bilstm is None and self.crf is None
                    else Packing([len(gold) for gold in gold_ids]))
         emissions = self.emissions_from_features(features, packing)
@@ -226,8 +246,10 @@ class NerModel:
         Sentences are decoded longest first, in batches of at most
         ENCODE_ROW_BUDGET padded rows: the CRF runs Viterbi over a whole
         batch, the linear head one argmax over its rows. The result is in
-        input order.
+        input order. Features must be in the parameters' dtype.
         """
+        for f in features:
+            self._check_dtype(f)
         tags: list[list[str]] = [[] for _ in features]
         sizes = [len(f) for f in features]
         for picked in _longest_first(sizes):
@@ -278,8 +300,11 @@ class NerModel:
 
     @classmethod
     def load(cls, path) -> "NerModel":
-        """Rebuild a saved model; malformed checkpoints fail with a ValueError
-        that names the file, or the offending meta key or parameter."""
+        """Rebuild a saved model in the dtype its parameters were saved in
+        (float64 for checkpoints written before models computed in float32);
+        malformed checkpoints, mixed float dtypes included, fail with a
+        ValueError that names the file, or the offending meta key or
+        parameter."""
         try:
             data = np.load(path)
         except (ValueError, EOFError, zipfile.BadZipFile) as err:
@@ -331,16 +356,25 @@ class NerModel:
                                    ("lacks parameters", set(named) - saved)):
                 if names:
                     raise ValueError(f"checkpoint {problem}: " + ", ".join(sorted(names)))
+            stored = {}
             for name, tensor in named.items():
-                stored = data[f"param/{name}"]
-                if not isinstance(stored, np.ndarray) or stored.dtype.kind not in "biuf":
+                array = stored[name] = data[f"param/{name}"]
+                if not isinstance(array, np.ndarray) or array.dtype.kind not in "biuf":
                     raise ValueError(f"checkpoint parameter {name} is not a numeric array")
-                if stored.shape != tensor.data.shape:
+                if array.shape != tensor.data.shape:
                     raise ValueError(f"checkpoint parameter {name} has shape "
-                                     f"{stored.shape}, expected {tensor.data.shape}")
-                if not np.isfinite(stored).all():
+                                     f"{array.shape}, expected {tensor.data.shape}")
+                if not np.isfinite(array).all():
                     raise ValueError(f"checkpoint parameter {name} has non-finite values")
-                tensor.data = stored.astype(np.float64)
+        # the model computes in the saved float dtype, which must be one
+        floats = [(name, a.dtype) for name, a in stored.items() if a.dtype.kind == "f"]
+        first, dtype = floats[0] if floats else (None, np.dtype(np.float64))
+        for name, other in floats:
+            if other != dtype:
+                raise ValueError(f"checkpoint parameter {name} is {other}, but {first} "
+                                 f"is {dtype}: its float parameters must share a dtype")
+        for name, tensor in named.items():
+            tensor.data = stored[name].astype(dtype, copy=False)
         return model
 
 

@@ -364,18 +364,19 @@ def bilstm_forward(features: np.ndarray, packing: Packing, params: BiLstmParams)
     rows = (packing.forward, packing.backward)
     bounds, size = packing.bounds, packing.rows
     w_fw, w_bw = p["fw.w"].data, p["bw.w"].data
+    dtype = w_fw.dtype  # of every buffer below
     # the inputs' projections, until the activations (gate order i, f, g, o)
     # overwrite them
-    gates = np.empty((size, 2, 4 * hidden))
+    gates = np.empty((size, 2, 4 * hidden), dtype)
     np.matmul(features[rows[0]], w_fw, out=gates[:, 0])
     np.matmul(features[rows[1]], w_bw, out=gates[:, 1])
     # one matmul per direction and step: stacking the recurrent weights would
     # copy [2, H, 4H] per call, which costs a short sentence more
     u_fw, u_bw = p["fw.u"].data, p["bw.u"].data
     b_data = np.array([p["fw.b"].data, p["bw.b"].data])
-    scratch = np.empty((bounds[1], 2, 4 * hidden))  # one step's pre-activations
-    cells = np.empty((size, 2, hidden))
-    out = np.empty((size, 2, hidden))
+    scratch = np.empty((bounds[1], 2, 4 * hidden), dtype)  # one step's pre-activations
+    cells = np.empty((size, 2, hidden), dtype)
+    out = np.empty((size, 2, hidden), dtype)
     cell_gate = slice(2 * hidden, 3 * hidden)
     for t in range(len(bounds) - 1):
         a, z = bounds[t], bounds[t + 1]
@@ -395,7 +396,7 @@ def bilstm_forward(features: np.ndarray, packing: Packing, params: BiLstmParams)
         if t:
             c += act[..., hidden:2 * hidden] * cells[before]
         np.multiply(act[..., 3 * hidden:], np.tanh(c), out=out[a:z])
-    flat_out = np.empty((size, 2 * hidden))
+    flat_out = np.empty((size, 2 * hidden), dtype)
     flat_out[rows[0], :hidden] = out[:, 0]
     flat_out[rows[1], hidden:] = out[:, 1]
 
@@ -434,9 +435,9 @@ def bilstm_forward(features: np.ndarray, packing: Packing, params: BiLstmParams)
         grads = []
         for d in range(2):
             # back to token order, so the weight gradients sum tokens in that order
-            d_pre_flat = np.empty((size, 4 * hidden))
+            d_pre_flat = np.empty((size, 4 * hidden), dtype)
             d_pre_flat[rows[d]] = d_pre[:, d]
-            h_prev_flat = np.empty((size, hidden))
+            h_prev_flat = np.empty((size, hidden), dtype)
             h_prev_flat[rows[d]] = h_prev[:, d]
             grads += [features.T @ d_pre_flat, h_prev_flat.T @ d_pre_flat,
                       d_pre_flat.sum(axis=0)]

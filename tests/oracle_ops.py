@@ -17,6 +17,10 @@ the oracle every op and hand-written backward is checked against.
 pair on every merge; `docner.tokenizer.train_vocab` keeps its counts
 across merges and must take the same merges.
 
+`as_float64` casts a model's parameters to float64. A model computes in
+float32; the oracles compute in float64, and a test that holds a model to
+an oracle's bound builds the model through it.
+
 `annealing_epochs` is the closed form of the feature recipe's learning-rate
 schedule, which the training tests and criterion 8 check a run against.
 
@@ -357,3 +361,11 @@ def reference_train_vocab(corpus, vocab_size: int) -> list[tuple[str, str]]:
                 else:
                     i += 1
     return merges
+
+
+def as_float64(model):
+    """`model` with its parameters cast to float64, in place: the precision
+    of the oracles, which a float32 model cannot match to their bounds."""
+    for p in model.all_parameters():
+        p.data = p.data.astype(np.float64)
+    return model

@@ -242,6 +242,30 @@ class TestNoGrad:
         assert records()
 
 
+class TestDtype:
+    def test_float_input_keeps_its_dtype(self):
+        for dtype in (np.float32, np.float64):
+            assert Tensor(np.zeros(3, dtype)).dtype == dtype
+        assert Tensor([1, 2]).dtype == np.float64
+        assert Tensor(np.arange(3)).dtype == np.float64
+
+    def test_float32_graph_stays_float32(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+        w = Tensor(rng.normal(size=(4, 2)).astype(np.float32))
+        out = ad.tsum(ad.layer_norm(ad.gelu(x @ w), np.ones(2, np.float32),
+                                    np.zeros(2, np.float32)) * 0.5)
+        assert out.dtype == np.float32
+        out.backward()
+        assert x.grad.dtype == w.grad.dtype == np.float32
+
+    def test_mixed_dtypes_raise_in_backward(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+        out = ad.tsum(x * rng.normal(size=(3, 4)))  # a float64 constant promotes
+        assert out.dtype == np.float64
+        with pytest.raises(TypeError, match="float64 gradient for a float32 operand"):
+            out.backward()
+
+
 class TestBackwardContract:
     def test_requires_scalar(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))

@@ -91,7 +91,7 @@ class TestForwardPaths:
         rng = np.random.default_rng(0)
         sizes = []
         for n in (5, 50):
-            features = rng.normal(size=(n, TINY.model_dim))
+            features = rng.normal(size=(n, TINY.model_dim)).astype(model.dtype)
             gold = list(rng.integers(0, len(model.labels), n))
             loss = model.batch_loss(features, [gold])
             sizes.append(graph_size(loss))
@@ -199,18 +199,20 @@ class TestBatchedLoss:
                                          ("linear", True)])
     def test_matches_mean_of_reference_sentence_losses(self, setup, head, we):
         corpus, vocab = setup
-        model = NerModel(vocab, corpus.label_set, TINY, context=ContextConfig(window=6),
-                         head=head, use_word_embeddings=we, word_dim=4,
-                         word_tokens=["went", "to", "Group"], seed=0)
+        model = oracle_ops.as_float64(
+            NerModel(vocab, corpus.label_set, TINY, context=ContextConfig(window=6),
+                     head=head, use_word_embeddings=we, word_dim=4,
+                     word_tokens=["went", "to", "Group"], seed=0))
         assert_batch_matches_reference(model, corpus, (0, 1, 5, 9))
 
     @pytest.mark.parametrize("strategy", ["all_layer_mean", "last_four_concat"])
     def test_pooled_layers_match_reference(self, setup, strategy):
         corpus, vocab = setup
-        model = NerModel(vocab, corpus.label_set,
-                         dataclasses.replace(FOUR_LAYERS, dropout=0.0),
-                         context=ContextConfig(window=6), layer_strategy=strategy,
-                         seed=0)
+        model = oracle_ops.as_float64(
+            NerModel(vocab, corpus.label_set,
+                     dataclasses.replace(FOUR_LAYERS, dropout=0.0),
+                     context=ContextConfig(window=6), layer_strategy=strategy,
+                     seed=0))
         assert_batch_matches_reference(model, corpus, (0, 1, 5, 9))
 
     def test_embeddings_only_batch_of_one_matches_reference(self, setup):
@@ -223,8 +225,9 @@ class TestBatchedLoss:
     def test_ragged_feature_batch_matches_mean_of_oracle_sentence_losses(
             self, setup, constrained):
         corpus, vocab = setup
-        model = NerModel(vocab, corpus.label_set, TINY, mode="feature", head="crf",
-                         bilstm_hidden=8, constrain_transitions=constrained, seed=0)
+        model = oracle_ops.as_float64(
+            NerModel(vocab, corpus.label_set, TINY, mode="feature", head="crf",
+                     bilstm_hidden=8, constrain_transitions=constrained, seed=0))
         rng = np.random.default_rng(3)
         lengths = [3, 1, 7, 3, 5, 1]  # unsorted, with ties and single tokens
         features = [rng.normal(size=(n, TINY.model_dim)) for n in lengths]
