@@ -6,7 +6,10 @@ keeps references to its parents together with a gradient closure. Calling
 topological order, accumulating gradients into ``.grad``.
 
 The engine is deliberately small: dense float arrays only, no views into
-shared storage, no in-place ops on tracked tensors. A Tensor keeps the
+shared storage, no in-place ops on tracked tensors. The one exception is
+an optimizer's leaves: `docner.training`'s optimizers rebind each
+parameter's ``data`` and ``grad`` to views of one flat array each, and
+``backward`` adds into an existing ``grad`` in place. A Tensor keeps the
 dtype of a float input, so a graph computes in the dtype of its variables
 (a model's parameters are float32, the oracles' inputs float64); any other
 input becomes float64. A graph holds one dtype: an op over two promotes to

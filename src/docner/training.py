@@ -113,51 +113,94 @@ def one_cycle_lr(step: int, total_steps: int, peak_lr: float) -> float:
     return peak_lr * (1.0 - step / total_steps)
 
 
-class AdamW:
-    """Adam with decoupled weight decay."""
+class _Arena:
+    """An optimizer's parameters adopted into one flat `data` array and one
+    flat `grad` array (a missing gradient adopted as zeros): each
+    parameter's `data` and `grad` become reshaped views of them, so a step
+    is one pass over the flat arrays, `zero_grad` is one fill, and
+    `Tensor.backward` adds into the views. Write into a view
+    (`p.data[...] = x`); `step` raises on a rebound one."""
+
+    def __init__(self, params: list[Tensor]):
+        if len({id(p) for p in params}) < len(params):
+            raise ValueError("a parameter is listed twice")
+        dtypes = {str(p.dtype) for p in params}
+        if len(dtypes) > 1:  # one flat array would widen the narrower ones
+            raise ValueError(f"parameters of mixed dtypes {sorted(dtypes)}")
+        self.params = params
+        self.data = np.concatenate([p.data.ravel() for p in params])
+        self.grad = np.zeros_like(self.data)
+        self._views = []
+        start = 0
+        for p in params:
+            shape, stop = p.shape, start + p.data.size
+            grad = self.grad[start:stop].reshape(shape)
+            if p.grad is not None:
+                grad[...] = p.grad
+            p.data, p.grad = self.data[start:stop].reshape(shape), grad
+            self._views.append((p.data, p.grad))
+            start = stop
+
+    def zero_grad(self) -> None:
+        self.grad.fill(0)
+
+    def _check_views(self) -> None:
+        for i, (p, (data, grad)) in enumerate(zip(self.params, self._views)):
+            if p.data is not data or p.grad is not grad:
+                raise ValueError(f"parameter {i} no longer holds its optimizer's "
+                                 "view: write into p.data[...] and p.grad[...]")
+
+
+class AdamW(_Arena):
+    """Adam with decoupled weight decay.
+
+    Every adopted parameter is stepped: one whose gradient stays zero still
+    has its moments decayed and its weight decay applied. After a step the
+    gradient views hold scratch values until `zero_grad`.
+    """
 
     def __init__(self, params: list[Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.01):
-        self.params = params
+        super().__init__(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        self._scratch = np.empty_like(self.data)
         self.t = 0
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def step(self, lr: float) -> None:
+        self._check_views()
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= lr * (update + self.weight_decay * p.data)
+        # Adam's operations in their usual order, into preallocated buffers (a
+        # temporary per operation would be mapped and unmapped each time); `g`
+        # is scratch once `v` has read it
+        m, v, g, s, data = self.m, self.v, self.grad, self._scratch, self.data
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=s)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=s)
+        v += np.multiply(s, g, out=s)
+        # update = (m / bc1) / (sqrt(v / bc2) + eps)
+        np.sqrt(np.divide(v, bc2, out=g), out=g)
+        g += self.eps
+        np.divide(np.divide(m, bc1, out=s), g, out=s)
+        # data -= lr * (update + weight_decay * data)
+        s += np.multiply(data, self.weight_decay, out=g)
+        s *= lr
+        data -= s
 
 
-class Sgd:
-    def __init__(self, params: list[Tensor]):
-        self.params = params
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+class Sgd(_Arena):
+    """Plain SGD; after a step the gradient views hold `lr` times the gradient."""
 
     def step(self, lr: float) -> None:
-        for p in self.params:
-            if p.grad is not None:
-                p.data -= lr * p.grad
+        self._check_views()
+        self.grad *= lr
+        self.data -= self.grad
 
 
 @dataclass
@@ -267,12 +310,11 @@ def train_feature_based(model: NerModel, corpus: Corpus,
         return score(dev_corpus, with_predictions(dev_corpus, predictions)).micro.f1
 
     rng = np.random.default_rng(seed)
-    params = model.trainable_parameters()
-    opt = Sgd(params)
+    opt = Sgd(model.trainable_parameters())
     log = TrainLog()
     lr = config.learning_rate
     best_f1 = -math.inf
-    best_params = [p.data.copy() for p in params]
+    best = opt.data.copy()
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -283,7 +325,7 @@ def train_feature_based(model: NerModel, corpus: Corpus,
                                dev_f1=dev_f1, seconds=time.perf_counter() - t0))
         if dev_f1 > best_f1:
             best_f1 = dev_f1
-            best_params = [p.data.copy() for p in params]
+            best = opt.data.copy()
             stale = 0
         else:
             stale += 1
@@ -292,8 +334,7 @@ def train_feature_based(model: NerModel, corpus: Corpus,
                 stale = 0
                 if lr < config.min_lr:
                     break
-    for p, best in zip(params, best_params):
-        p.data = best
+    opt.data[...] = best
     if _frozen_digest(model) != frozen_before:
         raise AssertionError("frozen parameters changed during feature-based training")
     return model, log

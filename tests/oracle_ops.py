@@ -21,6 +21,11 @@ across merges and must take the same merges.
 float32; the oracles compute in float64, and a test that holds a model to
 an oracle's bound builds the model through it.
 
+`ReferenceAdamW` and `ReferenceSgd` step each parameter's arrays on their
+own, skipping a parameter without a gradient. `docner.training`'s
+optimizers step one flat arena; on parameters that all have gradients
+they must give the same bits.
+
 `annealing_epochs` is the closed form of the feature recipe's learning-rate
 schedule, which the training tests and criterion 8 check a run against.
 
@@ -266,6 +271,47 @@ def bilstm_forward(features: Tensor, params) -> Tensor:
     bw = lstm_direction(features, p["bw.w"], p["bw.u"], p["bw.b"],
                         params.hidden, range(n - 1, -1, -1))
     return ad.concat([fw, bw], axis=1)
+
+
+class ReferenceAdamW:
+    """Adam with decoupled weight decay, one parameter array at a time."""
+
+    def __init__(self, params: list[Tensor], beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8,
+                 weight_decay: float = 0.01):
+        self.params = params
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+        self.t = 0
+
+    def step(self, lr: float) -> None:
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= lr * (update + self.weight_decay * p.data)
+
+
+class ReferenceSgd:
+    """Plain SGD, one parameter array at a time."""
+
+    def __init__(self, params: list[Tensor]):
+        self.params = params
+
+    def step(self, lr: float) -> None:
+        for p in self.params:
+            if p.grad is not None:
+                p.data -= lr * p.grad
 
 
 def annealing_epochs(config) -> int:

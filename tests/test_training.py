@@ -3,18 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docner.autodiff import Tensor
 from docner.context import ContextConfig
 from docner.corpus import parse_conll
-from docner.encoder import TransformerConfig
-from docner.model import NerModel
+from docner.encoder import POOL_STRATEGIES, TransformerConfig, check_pool_strategy
+from docner.model import HEADS, MODES, NerModel
 from docner.synthetic import overfit_corpus
 from docner.tokenizer import train_vocab
 from docner.training import (AdamW, EpochRecord, FeatureBasedConfig, FineTuneConfig,
                              Sgd, TrainLog, one_cycle_lr, train_feature_based,
                              train_finetune)
-from oracle_ops import annealing_epochs
+from oracle_ops import ReferenceAdamW, ReferenceSgd, annealing_epochs
+from test_precision import batch_loss
 
 SMALL = dict(layers=2, heads=2, model_dim=32, ff_dim=64, max_positions=128)
 
@@ -63,14 +66,14 @@ class TestOptimizers:
         opt = AdamW([x], weight_decay=0.0)
         for _ in range(500):
             opt.zero_grad()
-            x.grad = 2.0 * (x.data - 3.0)
+            x.grad[...] = 2.0 * (x.data - 3.0)
             opt.step(0.1)
         assert x.data[0] == pytest.approx(3.0, abs=1e-3)
 
     def test_adamw_decoupled_weight_decay(self):
         x = Tensor([2.0])
         opt = AdamW([x], weight_decay=0.5)
-        x.grad = np.zeros(1)
+        x.grad[...] = 0.0
         opt.step(0.1)
         # pure decay: update term is 0 (m=v=0), so x -= lr * wd * x
         assert x.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
@@ -86,6 +89,121 @@ class TestOptimizers:
         x.grad = np.array([0.5])
         Sgd([x]).step(0.2)
         assert x.data[0] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("optimizer", [AdamW, Sgd])
+    def test_parameters_become_views_of_one_arena(self, optimizer):
+        a, b = Tensor(np.arange(3.0)), Tensor(np.ones((2, 2)))
+        b.grad = np.full((2, 2), 0.5)
+        opt = optimizer([a, b])
+        np.testing.assert_array_equal(opt.data, [0, 1, 2, 1, 1, 1, 1])
+        np.testing.assert_array_equal(opt.grad, [0, 0, 0, 0.5, 0.5, 0.5, 0.5])
+        assert all(np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
+                   for p in (a, b))
+        assert b.shape == (2, 2)
+        opt.zero_grad()
+        assert not opt.grad.any()
+
+    @pytest.mark.parametrize("optimizer", [AdamW, Sgd])
+    @pytest.mark.parametrize("field", ["data", "grad"])
+    def test_a_rebound_array_raises(self, optimizer, field):
+        # the old `x.grad = ...` form: the step runs over the arena, so it
+        # would never see the new array
+        x, y = Tensor([10.0]), Tensor([1.0, 2.0])
+        opt = optimizer([x, y])
+        setattr(y, field, np.array([3.0, 4.0]))
+        with pytest.raises(ValueError, match="parameter 1 no longer holds"):
+            opt.step(0.1)
+        assert x.data[0] == 10.0
+
+    @pytest.mark.parametrize("optimizer", [AdamW, Sgd])
+    def test_adoption_rejects_mixed_dtypes_and_repeats(self, optimizer):
+        x = Tensor(np.ones(2, np.float32))
+        with pytest.raises(ValueError, match="mixed dtypes"):
+            optimizer([x, Tensor(np.ones(2))])
+        with pytest.raises(ValueError, match="listed twice"):
+            optimizer([x, x])
+
+
+STEP_INPUTS = dict(
+    shapes=st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3),
+                    min_size=1, max_size=8),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    steps=st.lists(st.tuples(st.floats(1e-4, 1.0), st.floats(0.0, 0.5)),
+                   min_size=1, max_size=4),
+    seed=st.integers(0, 2 ** 16))
+
+
+def stepped_pair(optimizer, reference, shapes, dtype, steps, seed):
+    """Yield the flat and the per-array optimizer after each of `steps`
+    (lr, weight decay) on the same parameters and random gradients."""
+    rng = np.random.default_rng(seed)
+    init = [rng.normal(size=s).astype(dtype) for s in shapes]
+    flat = optimizer([Tensor(a.copy()) for a in init])
+    ref = reference([Tensor(a.copy()) for a in init])
+    for lr, weight_decay in steps:
+        flat.weight_decay = ref.weight_decay = weight_decay
+        flat.zero_grad()
+        for p, q in zip(flat.params, ref.params):
+            q.grad = (rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 4)).astype(dtype)
+            p.grad += q.grad  # as `Tensor.backward` accumulates
+        flat.step(lr)
+        ref.step(lr)
+        for p, q in zip(flat.params, ref.params):
+            assert p.dtype == dtype
+            np.testing.assert_array_equal(p.data, q.data)
+        yield flat, ref
+
+
+class TestFlatStepEqualsPerArrayStep:
+    @settings(max_examples=60, deadline=None)
+    @given(**STEP_INPUTS)
+    def test_adamw(self, shapes, dtype, steps, seed):
+        for flat, ref in stepped_pair(AdamW, ReferenceAdamW, shapes, dtype, steps, seed):
+            np.testing.assert_array_equal(flat.m, np.concatenate([m.ravel() for m in ref.m]))
+            np.testing.assert_array_equal(flat.v, np.concatenate([v.ravel() for v in ref.v]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**STEP_INPUTS)
+    def test_sgd(self, shapes, dtype, steps, seed):
+        for _ in stepped_pair(Sgd, ReferenceSgd, shapes, dtype, steps, seed):
+            pass
+
+
+def accepted_by_constructor(strategy, layers):
+    try:
+        check_pool_strategy(strategy, layers)
+    except ValueError:
+        return False
+    return True
+
+
+class TestEveryTrainableParameterGetsAGradient:
+    """The flat AdamW step decays a parameter whose gradient stays zero,
+    where a per-array step skips one without a gradient; so every trainable
+    parameter of every model the constructor builds must get a gradient
+    from one training loss."""
+
+    @pytest.mark.parametrize("mode,head,strategy,layers,we", [
+        (mode, head, strategy, layers, we)
+        for mode in MODES for head in HEADS for strategy in POOL_STRATEGIES
+        for layers in (0, 4) for we in (False, True)
+        if accepted_by_constructor(strategy, layers)])
+    def test_one_backward_reaches_every_trainable_parameter(
+            self, train_setup, mode, head, strategy, layers, we):
+        corpus, vocab = train_setup
+        model = NerModel(vocab, corpus.label_set,
+                         TransformerConfig(layers=layers, heads=2, model_dim=8, ff_dim=16,
+                                           max_positions=128),
+                         context=ContextConfig(window=4), mode=mode, head=head,
+                         layer_strategy=strategy, use_word_embeddings=we, word_dim=4,
+                         word_tokens=["went"], bilstm_hidden=4, seed=0)
+        for p in model.all_parameters():
+            p.grad = None
+        batch_loss(model, corpus, list(corpus.sentences())[:4],
+                   rng=np.random.default_rng(0)).backward()
+        trainable = {id(p) for p in model.trainable_parameters()}
+        for name, p in model._named_parameters().items():
+            assert (p.grad is not None) == (id(p) in trainable), name
 
 
 class TestTrainLog:
