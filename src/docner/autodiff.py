@@ -279,14 +279,86 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# The float32 erf rational of Eigen and XLA, erf(z) = z p(z^2) / q(z^2),
+# highest power first.
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+
+
+def _float32_constants(values) -> list[np.ndarray]:
+    """0-d float32 arrays: a ufunc takes one in about 0.5 us against 0.75-0.95
+    us for a numpy or Python scalar, and on a few rows the float32 GELU's 27
+    ufunc calls are its cost."""
+    return [np.array(v, np.float32) for v in values]
+
+
+# The same rational in a = z sqrt(2), as the cdf 1/2 + a P(a^2) / Q(a^2):
+# the power k of z^2 gains 2^-k, Q is made monic, and P carries 1/(2 sqrt(2))
+# and Q's leading coefficient.
+_Q_LEAD = _ERF_Q[0] * 0.5 ** (len(_ERF_Q) - 1)
+_CDF_Q = _float32_constants(q * 0.5 ** (len(_ERF_Q) - 1 - i) / _Q_LEAD
+                            for i, q in enumerate(_ERF_Q))
+_CDF_P = _float32_constants(p * 0.5 ** (len(_ERF_P) - 1 - i) / (2.0 * _SQRT2 * _Q_LEAD)
+                            for i, p in enumerate(_ERF_P))
+# |a| is clipped at the largest float32 at which a P(a^2) / Q(a^2), evaluated
+# in float32, equals 1/2 before it first exceeds 1/2 (at 5.099789): the cdf
+# stays in [0, 1] and is exactly 0 and 1 beyond. The normal tail at the clip,
+# 1.7e-7, is below the rational's own error.
+_CDF_CLIP = 5.0997643
+_LOW, _HIGH, _HALF = _float32_constants((-_CDF_CLIP, _CDF_CLIP, 0.5))
+
+
+def _gelu_float32(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of a float32 array and its cdf, by the rational above, Horner in
+    place: the output array and one a^2 array are the only scratch."""
+    out = np.maximum(a, _LOW)
+    np.minimum(out, _HIGH, out=out)
+    sq = np.multiply(out, out)
+    cdf = np.add(sq, _CDF_Q[1])
+    for q in _CDF_Q[2:]:
+        cdf *= sq
+        cdf += q
+    out /= cdf
+    np.multiply(sq, _CDF_P[0], out=cdf)
+    for p in _CDF_P[1:-1]:
+        cdf += p
+        cdf *= sq
+    cdf += _CDF_P[-1]
+    cdf *= out
+    cdf += _HALF
+    # below -_CDF_CLIP the cdf is 0; the clip turns -inf * 0 into -0, not NaN
+    np.maximum(a, _LOW, out=out)
+    out *= cdf
+    return out, cdf
+
 
 def gelu(a) -> Tensor:
-    """Exact Gaussian-error-function GELU."""
+    """Gaussian-error-function GELU, x Phi(x) (Hendrycks & Gimpel 2016).
+
+    A float64 input takes its cdf from `scipy.special.erf`, so the float64
+    oracles (finite differences, exhaustive CRF, the op-by-op encoder) keep
+    its bits. A float32 input takes it from the float32 erf rational of Eigen
+    and XLA, in numpy, because scipy's float32 erf widens to double and runs
+    a scalar loop: on [rows, 256] inputs the rational is 3-5x faster from 133
+    to 2176 rows, breaks even at about 6 rows and is 2x slower on one row. It
+    runs at every size, so a value does not depend on the rows sharing its
+    call. Its cdf is no longer exact: it is within 2.4e-7 of the float64 cdf
+    (scipy's float32 path: 6.2e-8) and stays in [0, 1]; at +-inf GELU is
+    +inf and -0, and no value warns. The backward is the analytic formula in
+    the input's dtype.
+    """
     a_data = _data(a)
-    cdf = a_data / _SQRT2
-    _special.erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    if a_data.dtype == np.float32:
+        out, cdf = _gelu_float32(a_data)
+    else:
+        cdf = a_data / _SQRT2
+        _special.erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        out = a_data * cdf
 
     def back(g):  # g * (cdf + a * pdf), pdf = exp(-a * a / 2) / sqrt(2 pi)
         d = np.multiply(a_data, -0.5)
@@ -298,7 +370,7 @@ def gelu(a) -> Tensor:
         d *= g
         return d
 
-    return _node(a_data * cdf, (a, back))
+    return _node(out, (a, back))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
