@@ -228,9 +228,9 @@ class TransformerEncoder:
                 d_a += d_aq
                 d_x = d_x1
             else:  # query slots may repeat a row
-                np.add.at(d_a, rows, d_aq)
+                ad.scatter_add_rows(d_a, rows, d_aq)
                 d_x = np.zeros_like(x.data)
-                np.add.at(d_x, rows, d_x1)
+                ad.scatter_add_rows(d_x, rows, d_x1)
             d_x_ln, d_ln1_g, d_ln1_b = ln1._backward(d_a)
             d_x += d_x_ln
             return [d_x, d_ln1_g, d_ln1_b, *grads]

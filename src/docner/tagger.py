@@ -26,8 +26,11 @@ node per batch with a hand-written backward, and Viterbi decodes a batch
 in one pass. The BiLSTM projects each direction's gathered input rows
 straight into that direction's packed gate rows, which the activations
 then overwrite; its input is a constant, so its node's parents are the two
-directions' w, u and b. The gold-path score and the linear head are
-ordinary autodiff ops on the same tape.
+directions' w, u and b. In float32 the gate activations are one `np.tanh`
+per step, the sigmoid gates as 1/2 + 1/2 tanh(x / 2), so a float32 model
+runs on numpy alone; float64 gates use `scipy.special.expit`, imported on
+first use, bit for bit as the per-timestep oracle. The gold-path score and
+the linear head are ordinary autodiff ops on the same tape.
 
 Losses take emission Tensors and record a graph; the decoders
 (`greedy_decode`, `viterbi`) take plain score arrays.
@@ -35,10 +38,9 @@ Losses take emission Tensors and record a graph; the decoders
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -341,6 +343,44 @@ class BiLstmParams:
         return list(self.params.values())
 
 
+@cache
+def _sigmoid_as_tanh(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, shift) over the [4H] gate columns: sigmoid(x) = 1/2 +
+    1/2 tanh(x / 2) on the i, f and o gates, and the cell gate g is tanh(x)."""
+    scale = np.full(4 * hidden, 0.5, np.float32)
+    shift = np.full(4 * hidden, 0.5, np.float32)
+    scale[2 * hidden:3 * hidden] = 1.0
+    shift[2 * hidden:3 * hidden] = 0.0
+    scale.flags.writeable = shift.flags.writeable = False  # shared by every call
+    return scale, shift
+
+
+def _activate_gates(pre: np.ndarray, act: np.ndarray) -> None:
+    """The LSTM gate activations of pre-activations [..., 4H] (gate order i,
+    f, g, o) into `act`: sigmoid on i, f and o, tanh on g. `pre` is scratch.
+
+    float32 takes one `np.tanh` over every gate, sigmoid as 1/2 + 1/2
+    tanh(x / 2): within 6.5e-8 of the float64 sigmoid and tanh, exactly 0 and
+    1 at -inf and +inf, and on a [42, 2, 256] step 2.5-4x faster than scipy's
+    float32 `expit`, which widens to double and runs a scalar loop. float64
+    keeps `scipy.special.expit`, bit for bit the per-timestep oracle's; scipy
+    is imported there, on first use.
+    """
+    hidden = pre.shape[-1] // 4
+    if pre.dtype == np.float32:
+        scale, shift = _sigmoid_as_tanh(hidden)
+        pre *= scale
+        np.tanh(pre, out=act)
+        act *= scale
+        act += shift
+    else:
+        from scipy.special import expit
+
+        cell_gate = slice(2 * hidden, 3 * hidden)
+        expit(pre, out=act)
+        np.tanh(pre[..., cell_gate], out=act[..., cell_gate])
+
+
 def bilstm_forward(features: np.ndarray, packing: Packing, params: BiLstmParams) -> Tensor:
     """Both LSTM directions from zero states over every sentence of a batch;
     a token's output row is its forward then its backward hidden state.
@@ -390,8 +430,7 @@ def bilstm_forward(features: np.ndarray, packing: Packing, params: BiLstmParams)
             pre += b_data
         else:
             np.add(act, b_data, out=pre)
-        expit(pre, out=act)
-        np.tanh(pre[..., cell_gate], out=act[..., cell_gate])
+        _activate_gates(pre, act)
         c = np.multiply(act[..., :hidden], act[..., cell_gate], out=cells[a:z])
         if t:
             c += act[..., hidden:2 * hidden] * cells[before]

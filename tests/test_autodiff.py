@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from docner import autodiff as ad
@@ -151,6 +153,32 @@ class TestTakeRows:
         np.testing.assert_array_equal(states.grad, expected)
 
 
+class TestScatterAddRows:
+    @settings(max_examples=60, deadline=None)
+    @given(table=st.integers(1, 9), width=st.sampled_from([(1,), (3,), (2, 3)]),
+           picks=st.lists(st.integers(0, 8), min_size=0, max_size=40),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_bit_for_bit_the_row_wise_add_at(self, table, width, picks, dtype, seed):
+        """Repeated rows sum in order of occurrence, as `np.add.at` by rows:
+        float addition does not associate, so another order shows in the bits."""
+        rng = np.random.default_rng(seed)
+        rows = np.array([r % table for r in picks], dtype=np.intp)
+        start = (rng.normal(size=(table, *width)) * 1e3).astype(dtype)
+        shape = (rows.size, *width)  # magnitudes 1e-3 to 1e3: sums that round
+        values = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape))
+        values = values.astype(dtype)
+        expected = start.copy()
+        np.add.at(expected, rows, values)
+        got = start.copy()
+        ad.scatter_add_rows(got, rows, values)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_refuses_a_strided_target(self):
+        target = np.zeros((4, 6))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ad.scatter_add_rows(target, np.array([0, 0]), np.ones((2, 3)))
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):
         m = rng.normal(size=(6, 9)) * 10
@@ -207,13 +235,42 @@ class TestGelu:
         np.testing.assert_array_equal(ad.gelu(a).data, expected)
 
     def test_float32_backward_matches_the_float64_gradient(self):
-        a = _float32_grid()
-        a = a[np.abs(a) < 1e3]  # a^2 overflows float32 from 1.8e19
+        a = _float32_grid()  # its tails reach the largest float32
         x = Tensor(a)
         ad.tsum(ad.gelu(x)).backward()
         wide = a.astype(np.float64)
         exact = special.ndtr(wide) + wide * np.exp(-0.5 * wide * wide) / math.sqrt(2 * math.pi)
         assert np.abs(x.grad - exact).max() <= 3e-7
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extremes_do_not_warn_and_take_the_limit_gradient(self, dtype):
+        """Past +-40 the pdf term is 0 in either dtype: the gradient is g
+        towards +inf and 0 towards -inf, and the square does not overflow."""
+        a = np.array([1e20, -1e20, np.inf, -np.inf], dtype)
+        g = np.array([3.0, 5.0, 7.0, 11.0], dtype)
+        with np.errstate(all="raise"):
+            y = ad.gelu(Tensor(a))
+            grad = y._backward(g)[0]
+        np.testing.assert_array_equal(y.data, np.array([1e20, 0, np.inf, 0], dtype))
+        np.testing.assert_array_equal(np.signbit(y.data), [0, 1, 0, 1])
+        assert grad.dtype == dtype
+        np.testing.assert_array_equal(grad, np.array([3.0, 0.0, 7.0, 0.0], dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_is_the_unclipped_formula_within_40(self, rng, dtype):
+        a = np.concatenate([rng.normal(size=500) * 10, [-40.0, 40.0, -39.5, 39.5]])
+        a = a.astype(dtype)
+        g = rng.normal(size=a.size).astype(dtype)
+        if dtype == np.float32:
+            cdf = ad._gelu_float32(a)[1]
+        else:
+            cdf = (special.erf(a / math.sqrt(2.0)) + 1.0) * 0.5
+        d = a * dtype(-0.5)
+        d *= a
+        d = np.exp(d) * dtype(1.0 / math.sqrt(2.0 * math.pi))
+        expected = (d * a + cdf) * g
+        got = ad.gelu(Tensor(a))._backward(g)[0]
+        assert got.tobytes() == expected.tobytes()
 
     def test_a_row_does_not_depend_on_its_batch(self, rng):
         a = (rng.normal(size=(37, 29)) * 4).astype(np.float32)

@@ -1,9 +1,15 @@
 """A model computes in float32; the oracles, and checkpoints saved in float64,
 in float64. These tests hold a float32 model to a float64 copy with the same
-weights, check that training keeps every array in float32, and check the
-dtype rules of the model's inputs and checkpoints."""
+weights, check that training keeps every array in float32, check the dtype
+rules of the model's inputs and checkpoints, and check that only a float64
+path loads scipy."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,10 +42,10 @@ def setup():
     return corpus, vocab
 
 
-def build(setup, kind, transformer=TWO_LAYERS, seed=0):
+def build(setup, kind, transformer=TWO_LAYERS, seed=0, bilstm_hidden=8):
     corpus, vocab = setup
     return NerModel(vocab, corpus.label_set, transformer, context=ContextConfig(window=6),
-                    bilstm_hidden=8, seed=seed, **kind)
+                    bilstm_hidden=bilstm_hidden, seed=seed, **kind)
 
 
 def batch_loss(model, corpus, sentences, rng=None):
@@ -63,6 +69,29 @@ def loss_and_gradients(model, corpus, sentences):
     return float(loss.data), {name: p.grad for name, p in model._named_parameters().items()}
 
 
+def assert_float32_agrees(setup, make):
+    """The loss and gradients of model `make()` on six sentences against a
+    float64 copy with the same weights, within LOSS_REL and GRAD_REL."""
+    corpus, _ = setup
+    sentences = list(corpus.sentences())[:6]
+    single = make()
+    double = oracle_ops.as_float64(make())
+    for a, b in zip(single.all_parameters(), double.all_parameters()):
+        np.testing.assert_array_equal(a.data, b.data)  # the same weights
+    loss, grads = loss_and_gradients(single, corpus, sentences)
+    ref_loss, ref_grads = loss_and_gradients(double, corpus, sentences)
+    assert loss == pytest.approx(ref_loss, rel=LOSS_REL, abs=0)
+    largest = max(np.abs(g).max() for g in ref_grads.values() if g is not None)
+    for name, ref in ref_grads.items():
+        if ref is None:  # frozen
+            assert grads[name] is None
+            continue
+        assert grads[name].dtype == np.float32
+        # a key bias's gradient is zero up to rounding: hold it to the largest
+        scale = largest if name.endswith(".wk_b") else np.abs(ref).max()
+        assert np.abs(grads[name] - ref).max() <= GRAD_REL * scale, name
+
+
 class TestFloat32AgainstFloat64:
     def test_built_in_float32_from_the_float64_draws(self, setup):
         model = build(setup, KINDS[2])
@@ -72,24 +101,15 @@ class TestFloat32AgainstFloat64:
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k['mode']}-{k['head']}")
     def test_loss_and_gradients_agree(self, setup, kind):
-        corpus, _ = setup
-        sentences = list(corpus.sentences())[:6]
-        single = build(setup, kind)
-        double = oracle_ops.as_float64(build(setup, kind))
-        for a, b in zip(single.all_parameters(), double.all_parameters()):
-            np.testing.assert_array_equal(a.data, b.data)  # the same weights
-        loss, grads = loss_and_gradients(single, corpus, sentences)
-        ref_loss, ref_grads = loss_and_gradients(double, corpus, sentences)
-        assert loss == pytest.approx(ref_loss, rel=LOSS_REL, abs=0)
-        largest = max(np.abs(g).max() for g in ref_grads.values() if g is not None)
-        for name, ref in ref_grads.items():
-            if ref is None:  # frozen
-                assert grads[name] is None
-                continue
-            assert grads[name].dtype == np.float32
-            # a key bias's gradient is zero up to rounding: hold it to the largest
-            scale = largest if name.endswith(".wk_b") else np.abs(ref).max()
-            assert np.abs(grads[name] - ref).max() <= GRAD_REL * scale, name
+        assert_float32_agrees(setup, lambda: build(setup, kind))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bilstm_crf_on_the_tanh_gates_agrees(self, setup, seed):
+        """float32 BiLSTM gates are one tanh (sigmoid as 1/2 + 1/2 tanh(x / 2)),
+        float64 gates scipy's expit: the float32 loss and gradients stay
+        within the float64 copy's bounds."""
+        assert_float32_agrees(setup, lambda: build(setup, KINDS[2], seed=seed,
+                                                   bilstm_hidden=32))
 
     @pytest.mark.parametrize("optimizer", [AdamW, Sgd])
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k['mode']}-{k['head']}")
@@ -175,3 +195,60 @@ class TestCheckpointDtype:
         assert loaded.head_b.dtype == np.float32
         assert not loaded.head_b.data.any()
 
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# trains and predicts one float32 fine-tuning model (linear head) and one
+# float32 feature model (BiLSTM-CRF), then runs `docner --help`
+FLOAT32_RUN = """
+import contextlib, io
+from docner.cli import main
+from docner.encoder import TransformerConfig
+from docner.model import NerModel, predict_corpus
+from docner.synthetic import overfit_corpus
+from docner.tokenizer import train_vocab
+from docner.training import (FeatureBasedConfig, FineTuneConfig, train_feature_based,
+                             train_finetune)
+
+corpus = overfit_corpus(6, seed=1)
+vocab = train_vocab(corpus, 120)
+tiny = TransformerConfig(layers=1, heads=2, model_dim=16, ff_dim=32, max_positions=96)
+for kind, train, config in (
+        (dict(mode="finetune", head="linear"), train_finetune,
+         FineTuneConfig(max_epochs=1)),
+        (dict(mode="feature", head="crf"), train_feature_based,
+         FeatureBasedConfig(max_epochs=2))):
+    model = NerModel(vocab, corpus.label_set, tiny, bilstm_hidden=8, seed=0, **kind)
+    assert str(model.dtype) == "float32"
+    model, _ = train(model, corpus, config, seed=0, dev_corpus=corpus)
+    assert predict_corpus(model, corpus).num_tokens == corpus.num_tokens
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main(["--help"])
+"""
+
+
+def loads_scipy_special(code: str) -> bool:
+    """Whether running `code` in a fresh interpreter imports scipy.special."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = "\nimport sys\nprint('scipy.special' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(code) + probe],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()[-1] == "True"
+
+
+class TestScipyOnlyForFloat64:
+    """scipy.special costs about 25 MB of resident memory: a float32 model
+    never imports it, and a float64 op imports it on first use."""
+
+    def test_float32_training_prediction_and_cli_do_not_load_it(self):
+        assert not loads_scipy_special(FLOAT32_RUN)
+
+    def test_float64_gelu_loads_it(self):
+        assert loads_scipy_special("""
+            import numpy as np
+            from docner import autodiff as ad
+            ad.gelu(np.linspace(-3.0, 3.0, 7))
+            """)
