@@ -50,6 +50,11 @@ class no_grad:
         return False
 
 
+def recording() -> bool:
+    """Whether ops record a graph: False inside `no_grad()`."""
+    return _GRAD_ENABLED
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` over the leading axes numpy prepended when broadcasting an
     operand of `shape`; broadcasting along a size-1 axis is not supported."""

@@ -11,6 +11,12 @@ token's first subtoken is read downstream, so the last layer, which no later
 layer reads as keys, computes only those rows; callers take each layer's
 core rows first and pool them after.
 
+While no graph is recorded, sentences with equal assembled inputs (those of
+one document when the window covers it whole under enforced boundaries)
+share one encoder row: the layers below the last run once per distinct
+input, and the last layer gathers each sentence's keys and values from its
+row, so every sentence's features keep their bits.
+
 Each layer is one graph node with a hand-written backward. The attention
 backward uses FlashAttention's identity rowsum(dP * P) = rowsum(dO * O)
 (Dao et al. 2022), so the only [B, H, n, n] array a layer keeps is the
@@ -98,21 +104,27 @@ class TransformerEncoder:
         return list(self.params.values())
 
     def forward(self, ids: np.ndarray, lengths: Sequence[int], queries: np.ndarray,
-                train: bool = False,
-                rng: np.random.Generator | None = None) -> list[Tensor]:
-        """Encode a [B, n] batch of right-padded subtoken ids, of which the
-        first ``lengths[b]`` of row b are real.
+                train: bool = False, rng: np.random.Generator | None = None,
+                owner: np.ndarray | None = None) -> list[Tensor]:
+        """Encode a [R, n] batch of right-padded subtoken ids, of which the
+        first ``lengths[r]`` of row r are real, for S sentences: sentence b
+        reads row ``owner[b]``, or row b without `owner` (then R = S).
 
-        Returns [embeddings, layer 1, ..., layer L]. Each is [B*n, D] with
-        sentence b in rows b*n to b*n + n - 1, except layer L: it is computed
-        only at the [B, m] positions ``queries`` and is [B*m, D], row b*m + j
+        Returns [embeddings, layer 1, ..., layer L]. Each is [R*n, D] with
+        row r in rows r*n to r*n + n - 1, except layer L: it is computed
+        only at the [S, m] positions ``queries`` and is [S*m, D], row b*m + j
         holding position ``queries[b, j]`` of sentence b. Its keys and values
-        still come from every position, and no later layer reads it, so those
-        rows equal the full layer's. Padded keys get a -inf attention score,
-        so a sentence's rows do not depend on the padding.
+        still come from every position of the sentence's row, and no later
+        layer reads it, so those rows equal the full layer's. Padded keys get
+        a -inf attention score, so a sentence's rows do not depend on the
+        padding. Rows are shared only while no graph is recorded: that layout
+        has no backward.
         """
         c = self.config
         batch, n = ids.shape
+        if owner is not None and ad.recording():
+            raise ValueError("sentences share encoder rows only under no_grad: "
+                             "the shared layout has no backward")
         if n > c.max_positions:
             raise ValueError(
                 f"assembled input of {n} subtokens exceeds max positions "
@@ -126,25 +138,27 @@ class TransformerEncoder:
             padded = np.arange(n) >= np.asarray(lengths)[:, None]
             key_mask = np.where(padded, -np.inf, 0.0).astype(x.dtype)[:, None, None, :]
         drop = (c.dropout, rng) if train and c.dropout > 0.0 else None
+        sentence_rows = np.arange(batch) if owner is None else owner
         hidden = [x]
         for i in range(c.layers):
-            rows = (None if i < c.layers - 1
-                    else (np.arange(batch)[:, None] * n + queries).reshape(-1))
-            x = self._layer(i, x, batch, key_mask, rows, drop)
+            last = i == c.layers - 1
+            rows = (sentence_rows[:, None] * n + queries).reshape(-1) if last else None
+            x = self._layer(i, x, batch, key_mask, rows, drop, owner if last else None)
             hidden.append(x)
         return hidden
 
     def _layer(self, i: int, x: Tensor, batch: int, key_mask: np.ndarray | None,
-               rows: np.ndarray | None, drop) -> Tensor:
-        """Transformer layer i over x [B*n, D] as one graph node over x and
+               rows: np.ndarray | None, drop, owner: np.ndarray | None = None) -> Tensor:
+        """Transformer layer i over x [R*n, D] as one graph node over x and
         the layer's parameters, the last layer's final layer norm included.
 
         `rows` (last layer only) are the flat rows the queries, the
         feed-forward block and the final layer norm are computed at; keys and
-        values come from every row. `drop` is (rate, generator) in training
-        with dropout, else None. The forward hands the matmuls and the
-        softmax plain arrays, constants, so they record nothing; the layer
-        norm and GELU nodes take their inputs as Tensors and keep the
+        values come from every row, sentence b's from encoder row ``owner[b]``
+        when `owner` is given (no graph recorded). `drop` is (rate, generator)
+        in training with dropout, else None. The forward hands the matmuls
+        and the softmax plain arrays, constants, so they record nothing; the
+        layer norm and GELU nodes take their inputs as Tensors and keep the
         closures the backward calls.
         """
         c = self.config
@@ -175,8 +189,13 @@ class TransformerEncoder:
 
         ln1 = ad.layer_norm(x, ln1_g, ln1_b)
         a = ln1.data
-        k = split(affine(a, wk, wk_b))
-        v = split(affine(a, wv, wv_b))
+        k, v = affine(a, wk, wk_b), affine(a, wv, wv_b)
+        if owner is not None:  # each sentence's keys, values and key mask from its row
+            k, v = (t.reshape(batch, -1, c.model_dim)[owner].reshape(-1, c.model_dim)
+                    for t in (k, v))
+            key_mask = None if key_mask is None else key_mask[owner]
+            batch = len(owner)
+        k, v = split(k), split(v)
         xq, aq = (x.data, a) if rows is None else (x.data[rows], a[rows])
         q = split(affine(aq, wq, wq_b))
         scores = ad.matmul(q, k.transpose(0, 1, 3, 2)).data
@@ -239,33 +258,46 @@ class TransformerEncoder:
 
 
 class PaddedBatch:
-    """The assembled inputs of several sentences, right-padded to the longest.
+    """The assembled inputs of several sentences as encoder rows, right-padded
+    to the longest.
 
-    Row b of the encoder input is sentence b's assembled ids followed by
-    ``pad_id`` up to ``width``; a full-width encoder output holds sentence b
-    in rows b*width onwards. The last layer is computed only at each
-    sentence's core first subtokens, ``core_width`` query slots per sentence.
+    Built while no graph is recorded, the batch has one row per distinct
+    assembled input, in order of first use, and sentences whose inputs are
+    equal share it; built while one is, it has one row per sentence, as the
+    backward needs. ``windows[r]`` is row r's assembled ids and
+    ``owner[b]`` the row of sentence b. Row r of the encoder input is
+    ``windows[r]`` followed by ``pad_id`` up to ``width``; a full-width
+    encoder output holds it in rows r*width onwards. The last layer is
+    computed only at each sentence's core first subtokens, ``core_width``
+    query slots per sentence.
     """
 
     def __init__(self, ctxs: list[ContextualizedSentence], pad_id: int):
         self.ctxs = ctxs
         self.pad_id = pad_id
-        self.lengths = [ctx.assembled_length for ctx in ctxs]
+        ids = [tuple(ctx.assembled_ids()) for ctx in ctxs]
+        if ad.recording():
+            self.windows, self.owner = ids, list(range(len(ids)))
+        else:
+            row: dict[tuple[int, ...], int] = {}
+            self.owner = [row.setdefault(window, len(row)) for window in ids]
+            self.windows = list(row)
+        self.lengths = [len(window) for window in self.windows]
         self.width = max(self.lengths)
         self.core_width = max(len(ctx.core.first_subtoken_of_token) for ctx in ctxs)
 
     def assembled_ids(self) -> list[int]:
         """Every row of the padded input, pad slots included, row after row."""
         ids: list[int] = []
-        for ctx, n in zip(self.ctxs, self.lengths):
-            ids += ctx.assembled_ids()
-            ids += [self.pad_id] * (self.width - n)
+        for window in self.windows:
+            ids += window
+            ids += [self.pad_id] * (self.width - len(window))
         return ids
 
     def core_rows(self) -> list[int]:
         """Row of each core token's first subtoken in a full-width output,
         sentence after sentence."""
-        return [b * self.width + row for b, ctx in enumerate(self.ctxs)
+        return [r * self.width + row for ctx, r in zip(self.ctxs, self.owner)
                 for row in ctx.shifted_alignment()]
 
     def query_positions(self) -> np.ndarray:
@@ -288,11 +320,13 @@ class PaddedBatch:
 def encode_transformer(batch: PaddedBatch, model: TransformerEncoder,
                        train: bool = False,
                        rng: np.random.Generator | None = None) -> list[Tensor]:
-    """Run the encoder once over the padded assembled inputs of a batch, its
-    last layer at the core first subtokens only."""
+    """Run the encoder once over the padded rows of a batch, its last layer
+    at the core first subtokens of each sentence only."""
     ids = np.asarray(batch.assembled_ids(), dtype=np.intp)
-    return model.forward(ids.reshape(len(batch.lengths), batch.width), batch.lengths,
-                         batch.query_positions(), train=train, rng=rng)
+    shared = len(batch.windows) < len(batch.ctxs)
+    return model.forward(ids.reshape(len(batch.windows), batch.width), batch.lengths,
+                         batch.query_positions(), train=train, rng=rng,
+                         owner=np.asarray(batch.owner) if shared else None)
 
 
 def check_pool_strategy(strategy: str, layers: int) -> None:
@@ -319,7 +353,8 @@ def extract_core_tokens(hidden: list[Tensor], batch: PaddedBatch,
     core = []
     for i in range(first, top + 1):
         queried = 0 < i == top
-        rows = len(batch.lengths) * (batch.core_width if queried else batch.width)
+        rows = (len(batch.ctxs) * batch.core_width if queried
+                else len(batch.windows) * batch.width)
         if hidden[i].shape[0] != rows:
             raise ValueError(f"layer {i} output covers {hidden[i].shape[0]} rows but the "
                              f"padded {'core' if queried else 'assembled input'} has {rows}")

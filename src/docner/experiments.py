@@ -111,15 +111,19 @@ def ensure_vocab(cfg: ExperimentConfig, train: Corpus, exp_dir: Path) -> Subword
 
 
 def build_model(cfg: ExperimentConfig, vocab: SubwordVocab, train: Corpus,
-                seed: int) -> NerModel:
+                seed: int, dev: Corpus | None = None) -> NerModel:
     """The model of `cfg`: every config field that is a `NerModel` parameter
-    is passed under its own name."""
+    is passed under its own name. Its entity types are those of every split
+    it trains on: `train`, and `dev` under ``include_dev``."""
     parameters = inspect.signature(NerModel).parameters
     shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
               if f.name in parameters}
     word_tokens = sorted({t for s in train.sentences() for t in s.texts}) \
         if cfg.use_word_embeddings else None
-    return NerModel(vocab=vocab, entity_types=train.label_set,
+    entity_types = train.label_set
+    if cfg.finetune.include_dev and dev is not None:
+        entity_types |= dev.label_set
+    return NerModel(vocab=vocab, entity_types=entity_types,
                     word_tokens=word_tokens, seed=seed, **shared)
 
 
@@ -149,7 +153,7 @@ def run_seed(cfg: ExperimentConfig, vocab: SubwordVocab, train: Corpus,
         json.dumps({**cfg.to_dict(), "seed": seed}, indent=2), encoding="utf-8")
 
     with _stage(f"train seed {seed}"):
-        model = build_model(cfg, vocab, train, seed)
+        model = build_model(cfg, vocab, train, seed, dev)
         if cfg.mode == "finetune":
             model, log = train_finetune(model, train, cfg.finetune, seed,
                                         dev_corpus=dev)

@@ -37,8 +37,9 @@ MODES = ("finetune", "feature")
 HEADS = ("linear", "crf")
 DEFAULT_STRATEGY = {"finetune": "last_layer", "feature": "all_layer_mean"}
 FROZEN_IN_FEATURE_MODE = ("encoder.", "word_table.")
-# Padded rows per graph-free batch: encoder rows for frozen features,
-# tagger steps x sentences for decoding. Larger batches amortise more per-op
+# Padded rows per graph-free batch: encoder rows for frozen features, one
+# per sentence before sentences with equal inputs share theirs, and tagger
+# steps x sentences for decoding. Larger batches amortise more per-op
 # overhead but raise peak memory: in trials on the short-input benchmark,
 # 1024 encoder rows added 15% to peak RSS and 256 rows 2%.
 ENCODE_ROW_BUDGET = 256
@@ -191,7 +192,11 @@ class NerModel:
         """Each sentence's encoder features as a plain array, no graph.
 
         Sentences are encoded longest first, in batches of at most
-        ENCODE_ROW_BUDGET padded rows; the result is in input order.
+        ENCODE_ROW_BUDGET padded rows; the result is in input order. No graph
+        is recorded, so within a batch the sentences whose assembled inputs
+        are equal share one encoder row (`PaddedBatch`): each distinct input
+        is encoded once, and each sentence's features keep the bits of a
+        row of its own.
         """
         features: list[np.ndarray] = [np.empty(0)] * len(ctxs)
         with ad.no_grad():

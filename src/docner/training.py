@@ -207,14 +207,25 @@ class Sgd(_Arena):
 class _Item:
     tokens: list[str]
     ctx: ContextualizedSentence
-    gold: list[int]
+    gold: list[int] | None
     features: np.ndarray | None = None
 
 
-def _prepare_items(model: NerModel, corpus: Corpus) -> list[_Item]:
-    return [_Item(tokens=sentence.texts, ctx=model.contextualize(sentence, corpus),
-                  gold=model.gold_ids(sentence, corpus.scheme))
-            for sentence in corpus.sentences()]
+def _prepare_items(model: NerModel, corpus: Corpus, gold: bool = True) -> list[_Item]:
+    """Each sentence of `corpus` with its context and, with `gold`, its gold
+    label ids: a gold tag outside the model's labels is a ValueError that
+    names the tag and the split."""
+    items = []
+    for sentence in corpus.sentences():
+        try:
+            ids = model.gold_ids(sentence, corpus.scheme) if gold else None
+        except KeyError as err:
+            raise ValueError(f"gold tag {err.args[0]!r} of the {corpus.split} split is "
+                             f"not a label of the model, whose entity types are "
+                             f"{model.settings['entity_types']}") from None
+        items.append(_Item(tokens=sentence.texts, ctx=model.contextualize(sentence, corpus),
+                           gold=ids))
+    return items
 
 
 def _run_epoch(model: NerModel, items: list[_Item], batch_size: int,
@@ -296,7 +307,7 @@ def train_feature_based(model: NerModel, corpus: Corpus,
         raise ValueError("feature-based training needs a dev split for annealing")
 
     items = _prepare_items(model, corpus)
-    dev_items = _prepare_items(model, dev_corpus)
+    dev_items = _prepare_items(model, dev_corpus, gold=False)  # scored by spans
     everything = items + dev_items
     features = model.frozen_features([it.tokens for it in everything],
                                      [it.ctx for it in everything])

@@ -14,7 +14,7 @@ from docner.encoder import TransformerConfig
 from docner.model import NerModel
 from docner.synthetic import cue_corpus, overfit_corpus
 from docner.tokenizer import SubwordVocab, train_vocab
-from test_corpus import conll_texts
+from test_corpus import conll_texts, without_type
 
 TINY_TRANSFORMER = {"layers": 1, "heads": 2, "model_dim": 16, "ff_dim": 32,
                     "max_positions": 96}
@@ -255,6 +255,19 @@ class TestRunExperiment:
         from docner.experiments import ExperimentConfig
         with pytest.raises(ValueError, match=f"^{key} must hold an object"):
             ExperimentConfig.from_json(f'{{"{key}": {value}}}')
+
+    def test_dev_type_that_train_lacks_reported_at_recall_zero(self, tmp_path):
+        paths = write_corpus_files(tmp_path)
+        train = parse_conll(Path(paths["train"]).read_text(encoding="utf-8"))
+        Path(paths["train"]).write_text(format_conll(without_type(train, "LOC")),
+                                        encoding="utf-8")
+        config = write_config(tmp_path, paths, mode="feature", head="crf",
+                              bilstm_hidden=8)
+        assert main(["run-experiment", "--config", str(config)]) == 0
+        report = json.loads((tmp_path / "runs" / "tiny" / "1" / "report_dev.json")
+                            .read_text(encoding="utf-8"))
+        assert report["per_type"]["LOC"]["gold"] > 0
+        assert report["per_type"]["LOC"]["recall"] == 0.0
 
 
 class TestSweepContext:

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,12 @@ from docner.corpus import (ParseError, Span, TagScheme, convert_scheme, format_c
                            parse_conll, spans_from_tags, tags_from_spans)
 
 TYPES = ["LOC", "MISC", "ORG", "PER"]
+
+
+def without_type(corpus, etype):
+    """`corpus` with every `etype` entity tagged O."""
+    return parse_conll(re.sub(rf"\b[BIES]-{etype}\b", "O", format_conll(corpus)),
+                       split=corpus.split)
 
 
 @st.composite

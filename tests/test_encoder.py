@@ -240,6 +240,22 @@ class TestBatchedForward:
         np.testing.assert_array_equal(batch.query_positions(), [[1, 0, 0], [2, 3, 4]])
         assert batch.core_query_rows() == [0, 3, 4, 5]
 
+    def test_equal_inputs_share_a_row_only_without_a_graph(self, encoder):
+        ctxs = [make_ctx([5, 6], right=[7]), make_ctx([5]), make_ctx([6, 7], left=[5])]
+        assert ctxs[0].assembled_ids() == ctxs[2].assembled_ids()
+        recorded = batch_of(*ctxs)
+        assert (recorded.owner, len(recorded.windows)) == ([0, 1, 2], 3)
+        with ad.no_grad():
+            batch = batch_of(*ctxs)
+            hidden = encode_transformer(batch, encoder)
+        assert batch.owner == [0, 1, 0] and batch.lengths == [5, 3]
+        assert batch.assembled_ids() == [0, 5, 6, 7, 1, 0, 5, 1, PAD, PAD]
+        assert batch.core_rows() == [1, 2, 6, 2, 3]
+        np.testing.assert_array_equal(batch.query_positions(), [[1, 2], [1, 0], [2, 3]])
+        assert hidden[0].shape[0] == 2 * 5 and hidden[-1].shape[0] == 3 * 2
+        with pytest.raises(ValueError, match="no_grad"):
+            encode_transformer(batch, encoder)
+
 
 def padded_encoder_case(rng, dropout):
     """An encoder deep enough for every pooling strategy, its parameters at

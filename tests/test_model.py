@@ -10,11 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import docner.context
+import docner.model
 from docner import autodiff as ad
 from docner.context import ContextConfig
 from docner.corpus import TagScheme, parse_conll, spans_from_tags
 from docner.encoder import (LAYER_PARAMS, TransformerConfig, concat_word_embeddings,
-                            pool_layers)
+                            encode_transformer, pool_layers)
 from docner.experiments import ExperimentConfig, build_model
 from docner.model import NerModel, bioes_labels, predict_corpus
 from docner.synthetic import corpus_from_documents, overfit_corpus
@@ -24,6 +25,7 @@ from docner.training import FineTuneConfig, train_finetune
 
 import oracle_ops
 from test_acceptance import _mini_tagging_model
+from test_corpus import without_type
 from test_encoder import assert_close_to, reference_forward
 
 TINY = TransformerConfig(layers=1, heads=2, model_dim=16, ff_dim=32,
@@ -542,6 +544,19 @@ class TestBuildModel:
         assert model.settings["word_tokens"] == \
             sorted({t for s in corpus.sentences() for t in s.texts})
 
+    def test_include_dev_takes_the_dev_entity_types(self, setup):
+        corpus, vocab = setup
+        train = without_type(corpus, "LOC")
+        dev = overfit_corpus(6, seed=8, split="dev")
+        cfg = ExperimentConfig(transformer=TINY, finetune=FineTuneConfig(max_epochs=1))
+        assert build_model(cfg, vocab, train, 0, dev).settings["entity_types"] == \
+            sorted(train.label_set)
+        cfg.finetune.include_dev = True
+        model = build_model(cfg, vocab, train, 0, dev)
+        assert model.settings["entity_types"] == sorted(train.label_set | {"LOC"})
+        _, log = train_finetune(model, train, cfg.finetune, seed=1, dev_corpus=dev)
+        assert len(log.records) == 1
+
 
 def saved_then_edited(setup, tmp_path, edit_meta=None, edit_arrays=None):
     """Save a fine-tune model, then rewrite its checkpoint through the edits."""
@@ -628,3 +643,109 @@ class TestPredictCorpusBatching:
                     for s in corpus.sentences()]
         assert [s.predicted_tags for s in predicted.sentences()] == expected
         assert predicted.num_tokens == corpus.num_tokens
+
+
+def shared_window_corpus():
+    """Documents of 2 and 3 sentences, one of them a single token and one
+    document twice, that fit 30 positions whole, then a document of five
+    sentences that `fit_to_length` trims to 30 positions, the last two alike."""
+    def sentence(words):
+        return "\n".join(f"{w} O" for w in words.split())
+
+    first = "\n\n".join([sentence("Tevin went to Ostia ."), sentence("qz"),
+                          sentence("Nordex Group .")])
+    second = "\n\n".join([sentence("x went"), sentence("Tevin .")])
+    long = "\n\n".join([sentence("Tevin went to Ostia . x qz"),
+                         sentence("Nordex Group went to x ."),
+                         sentence("qz x Tevin went to Ostia"), sentence("Group x qz ."),
+                         sentence("Ostia went x Tevin .")])
+    return corpus_from_documents([first, second, first, long], split="test")
+
+
+def encoder_rows(monkeypatch):
+    """Record, for each encoder call of the model, its encoder row count
+    and the number of distinct assembled inputs of its sentences, and keep
+    the last call's layer outputs."""
+    calls = []
+
+    def recording(batch, *args, **kwargs):
+        hidden = encode_transformer(batch, *args, **kwargs)
+        calls.append((hidden[0].shape[0] // batch.width,
+                      len({tuple(c.assembled_ids()) for c in batch.ctxs}), hidden))
+        return hidden
+
+    monkeypatch.setattr(docner.model, "encode_transformer", recording)
+    return calls
+
+
+class TestSharedWindows:
+    @pytest.mark.parametrize("we", [False, True])
+    @pytest.mark.parametrize("layers,strategy", [(0, "last_layer"), (1, "all_layer_mean"),
+                                                 (4, "all_layer_mean"),
+                                                 (4, "last_four_concat")])
+    def test_frozen_features_equal_a_row_per_sentence(self, setup, monkeypatch, layers,
+                                                      strategy, we):
+        train, vocab = setup
+        corpus = shared_window_corpus()
+        transformer = dataclasses.replace(FOUR_LAYERS, layers=layers, max_positions=30)
+        model = NerModel(vocab, train.label_set, transformer,
+                         context=ContextConfig(64, enforce_boundaries=True),
+                         mode="feature", layer_strategy=strategy,
+                         use_word_embeddings=we, word_dim=4, word_tokens=WORDS, seed=0)
+        sentences = list(corpus.sentences())
+        tokens = [s.texts for s in sentences]
+        ctxs = [model.contextualize(s, corpus) for s in sentences]
+        windows = [tuple(c.assembled_ids()) for c in ctxs]
+        assert len(set(windows)) == 6 and windows[:3] == windows[5:8]
+        trimmed = windows[8:]
+        assert len(set(trimmed)) == 4 and {len(w) for w in trimmed} == {30}
+        calls = encoder_rows(monkeypatch)
+        model.frozen_features(tokens, ctxs)
+        assert [rows for rows, _, _ in calls] == [distinct for _, distinct, _ in calls]
+        assert sum(rows for rows, _, _ in calls) < len(ctxs)
+        # one batch, against the same batch encoded while a graph is recorded,
+        # a row per sentence: a padded batch and a batch of one may differ in
+        # the last bit, whether rows are shared or not
+        monkeypatch.setattr(docner.model, "ENCODE_ROW_BUDGET", 30 * len(ctxs))
+        shared = model.frozen_features(tokens, ctxs)
+        assert calls[-1][0] == 6
+        per_sentence = model.token_features(tokens, ctxs).data
+        assert calls[-1][0] == len(ctxs)
+        bounds = np.cumsum([len(t) for t in tokens])[:-1]
+        for f, expected in zip(shared, np.split(per_sentence, bounds)):
+            assert f.tobytes() == expected.tobytes()
+
+    def test_a_recorded_batch_keeps_a_row_and_a_mask_per_sentence(self, setup,
+                                                                  monkeypatch):
+        train, vocab = setup
+        corpus = shared_window_corpus()
+        model = NerModel(vocab, train.label_set, FOUR_LAYERS,
+                         context=ContextConfig(64, enforce_boundaries=True), seed=0)
+        assert FOUR_LAYERS.dropout > 0
+        sentences = corpus.documents[1].sentences
+        ctxs = [model.contextualize(s, corpus) for s in sentences]
+        assert ctxs[0].assembled_ids() == ctxs[1].assembled_ids()
+        calls = encoder_rows(monkeypatch)
+        model.token_features([s.texts for s in sentences], ctxs, train=True,
+                             rng=np.random.default_rng(0))
+        [(rows, distinct, hidden)] = calls
+        assert (rows, distinct) == (2, 1)
+        width = ctxs[0].assembled_length
+        embeddings, layer1 = hidden[0].data, hidden[1].data
+        np.testing.assert_array_equal(embeddings[:width], embeddings[width:])
+        assert not np.array_equal(layer1[:width], layer1[width:])  # two dropout masks
+
+    @pytest.mark.parametrize("head", ["linear", "crf"])
+    def test_recorded_batch_of_one_window_passes_finite_differences(self, head):
+        corpus, model = _mini_tagging_model(seed=200, head=head)
+        model.context = ContextConfig(window=24, enforce_boundaries=True)
+        sentences = list(corpus.sentences())
+        ctxs = [model.contextualize(s, corpus) for s in sentences]
+        assert len({tuple(c.assembled_ids()) for c in ctxs}) == 1 < len(ctxs)
+        tokens = [s.texts for s in sentences]
+        gold = [model.gold_ids(s, corpus.scheme) for s in sentences]
+        err = oracle_ops.grad_check(
+            lambda: model.batch_loss(model.token_features(tokens, ctxs, train=True),
+                                     gold) * 1e-4,
+            model.all_parameters(), epsilon=1e-5)
+        assert err < 1e-5

@@ -17,6 +17,7 @@ from docner.training import (AdamW, EpochRecord, FeatureBasedConfig, FineTuneCon
                              Sgd, TrainLog, one_cycle_lr, train_feature_based,
                              train_finetune)
 from oracle_ops import ReferenceAdamW, ReferenceSgd, annealing_epochs
+from test_corpus import without_type
 from test_precision import batch_loss
 
 SMALL = dict(layers=2, heads=2, model_dim=32, ff_dim=64, max_positions=128)
@@ -292,6 +293,16 @@ class TestTrainFinetune:
         train_finetune(model, corpus, cfg, seed=1, dev_corpus=dev)
         assert calls["n"] == corpus.num_sentences + dev.num_sentences
 
+    def test_gold_tag_outside_the_labels_names_tag_and_split(self, train_setup):
+        corpus, vocab = train_setup
+        train = without_type(corpus, "LOC")
+        model = small_model(train, vocab)
+        dev = overfit_corpus(7, seed=11, split="dev")
+        assert "LOC" in dev.label_set and "LOC" not in train.label_set
+        with pytest.raises(ValueError, match="gold tag 'S-LOC' of the dev split"):
+            train_finetune(model, train, FineTuneConfig(max_epochs=1, include_dev=True),
+                           seed=1, dev_corpus=dev)
+
     def test_include_dev_requires_dev_corpus(self, train_setup):
         corpus, vocab = train_setup
         model = small_model(corpus, vocab)
@@ -322,6 +333,16 @@ class TestTrainFeatureBased:
         model = small_model(corpus, vocab, mode="feature", head="crf")
         with pytest.raises(ValueError, match="dev split"):
             train_feature_based(model, corpus, FeatureBasedConfig(), seed=1)
+
+    def test_dev_type_that_train_lacks_is_scored_not_trained(self, train_setup):
+        corpus, vocab = train_setup
+        train = without_type(corpus, "LOC")
+        dev = overfit_corpus(6, seed=8, split="dev")
+        assert "LOC" in dev.label_set and "LOC" not in train.label_set
+        model = small_model(train, vocab, mode="feature", head="crf")
+        _, log = train_feature_based(model, train, FeatureBasedConfig(max_epochs=2),
+                                     seed=1, dev_corpus=dev)
+        assert len(log.records) == 2 and all(0.0 <= r.dev_f1 < 100.0 for r in log.records)
 
     def test_encoder_bytes_identical(self, train_setup):
         corpus, vocab = train_setup
