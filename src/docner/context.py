@@ -1,11 +1,11 @@
 """Per-sentence document-level context assembly.
 
 Each sentence to tag is flanked by up to `window` subtokens of left and
-right context: the subtokens on either side of it in the corpus's
-concatenated subtoken stream. With boundary enforcement the slice stops at
-the sentence's own document; without it, context continues into adjacent
-documents in corpus order (the boundary itself contributes no subtokens).
-The assembled transformer input is always
+right context: the subtokens on either side of it in the corpus's subtoken
+stream, one id array of which its window is a view. With boundary
+enforcement the window stops at the sentence's own document; without it,
+context continues into adjacent documents in corpus order (the boundary
+itself contributes no subtokens). The assembled transformer input is always
 
     [BOS] + left_ids + core_ids + right_ids + [EOS]
 
@@ -15,7 +15,9 @@ and contexts may cut neighboring sentences mid-way.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .corpus import Document, Sentence
 from .tokenizer import SubwordEncoding, SubwordVocab, encode
@@ -29,32 +31,42 @@ class ContextConfig:
     enforce_boundaries: bool = False
 
     def __post_init__(self):
-        if self.window < 0:
-            raise ValueError("context window must be >= 0")
+        if type(self.window) is not int or self.window < 0:
+            raise ValueError(f"context window must be an integer >= 0, got {self.window!r}")
+        if type(self.enforce_boundaries) is not bool:
+            raise ValueError("context enforce_boundaries must be true or false, "
+                             f"got {self.enforce_boundaries!r}")
 
 
-@dataclass
+@dataclass(eq=False)  # windows are arrays: a context equals only itself
 class ContextualizedSentence:
-    """Core sentence subtokens plus flanking context and offset bookkeeping."""
+    """A sentence's window: a view of `SubtokenStream.ids`, its core at ``core_offset``."""
 
-    left_ids: list[int]
+    window: np.ndarray
+    core_offset: int
     core: SubwordEncoding
-    right_ids: list[int]
     bos_id: int
     eos_id: int
 
     @property
+    def left_ids(self) -> list[int]:
+        return self.window[:self.core_offset].tolist()
+
+    @property
+    def right_ids(self) -> list[int]:
+        return self.window[self.core_offset + len(self.core.ids):].tolist()
+
+    @property
     def core_start(self) -> int:
         """Offset of the first core subtoken in the assembled input."""
-        return len(self.left_ids) + 1
+        return self.core_offset + 1
 
     def assembled_ids(self) -> list[int]:
-        return ([self.bos_id] + self.left_ids + self.core.ids
-                + self.right_ids + [self.eos_id])
+        return [self.bos_id, *self.window.tolist(), self.eos_id]
 
     @property
     def assembled_length(self) -> int:
-        return 2 + len(self.left_ids) + len(self.core.ids) + len(self.right_ids)
+        return 2 + len(self.window)
 
     def shifted_alignment(self) -> list[int]:
         """Token -> first-subtoken positions within the assembled input."""
@@ -65,26 +77,27 @@ class ContextualizedSentence:
 class SubtokenStream:
     """Every sentence of a corpus encoded once and concatenated in corpus order.
 
-    Holds the concatenated subtoken ids, each sentence's start offset and
-    encoding (indexed by document, then position in the document), and
-    each document's ``(lo, hi)`` range of the ids.
+    Holds the concatenated subtoken ids as one integer array, each
+    sentence's start offset and encoding (indexed by document, then position
+    in the document), and each document's ``(lo, hi)`` range of the ids.
     """
 
     def __init__(self, documents: list[Document], vocab: SubwordVocab):
         self.documents = documents
         self.vocab = vocab
-        self.ids: list[int] = []
+        ids: list[int] = []
         self.sentences: list[list[tuple[int, SubwordEncoding]]] = []
         self.doc_ranges: list[tuple[int, int]] = []
         for document in documents:
-            lo = len(self.ids)
+            lo = len(ids)
             encoded = []
             for sentence in document.sentences:
                 enc = encode(sentence.texts, vocab)
-                encoded.append((len(self.ids), enc))
-                self.ids.extend(enc.ids)
+                encoded.append((len(ids), enc))
+                ids.extend(enc.ids)
             self.sentences.append(encoded)
-            self.doc_ranges.append((lo, len(self.ids)))
+            self.doc_ranges.append((lo, len(ids)))
+        self.ids = np.asarray(ids, dtype=np.intp)
 
 
 def build_context(sentence: Sentence, stream: SubtokenStream,
@@ -98,18 +111,17 @@ def build_context(sentence: Sentence, stream: SubtokenStream,
     end = start + len(core.ids)
     lo, hi = (stream.doc_ranges[sentence.doc_index] if config.enforce_boundaries
               else (0, len(stream.ids)))
-    left = stream.ids[max(lo, start - config.window):start]
-    right = stream.ids[end:min(hi, end + config.window)]
+    left = max(lo, start - config.window)
     return ContextualizedSentence(
-        left_ids=left, core=core, right_ids=right,
-        bos_id=stream.vocab.bos_id, eos_id=stream.vocab.eos_id)
+        window=stream.ids[left:min(hi, end + config.window)], core_offset=start - left,
+        core=core, bos_id=stream.vocab.bos_id, eos_id=stream.vocab.eos_id)
 
 
 def fit_to_length(ctx: ContextualizedSentence, max_length: int) -> ContextualizedSentence:
     """Symmetrically trim context so the assembled input fits `max_length`.
 
     Core subtokens are never trimmed; if the core alone exceeds the budget
-    this raises instead.
+    this raises instead. The trimmed window is a narrower view of the same ids.
     """
     if ctx.assembled_length <= max_length:
         return ctx
@@ -121,11 +133,9 @@ def fit_to_length(ctx: ContextualizedSentence, max_length: int) -> Contextualize
     # trim the longer side first, ties from the left: the left side keeps half
     # the budget, more when the right side is short, and never more than it has
     budget = max_length - core_only
-    keep_left = min(len(ctx.left_ids), max(budget - len(ctx.right_ids), budget // 2))
-    left = ctx.left_ids[len(ctx.left_ids) - keep_left:]
-    right = ctx.right_ids[:budget - keep_left]
+    start = max(0, min(ctx.core_offset - budget // 2, ctx.assembled_length - max_length))
+    fitted = replace(ctx, window=ctx.window[start:start + max_length - 2],
+                     core_offset=ctx.core_offset - start)
     logger.warning("truncated context from %d to %d subtokens to fit %d positions",
-                   ctx.assembled_length, 2 + len(left) + len(ctx.core.ids) + len(right),
-                   max_length)
-    return ContextualizedSentence(left_ids=left, core=ctx.core, right_ids=right,
-                                  bos_id=ctx.bos_id, eos_id=ctx.eos_id)
+                   ctx.assembled_length, fitted.assembled_length, max_length)
+    return fitted

@@ -15,7 +15,8 @@ While no graph is recorded, sentences with equal assembled inputs (those of
 one document when the window covers it whole under enforced boundaries)
 share one encoder row: the layers below the last run once per distinct
 input, and the last layer gathers each sentence's keys and values from its
-row, so every sentence's features keep their bits.
+row, so features equal a batch's with a row per sentence to the bit (a batch
+of one may differ in the last bits: BLAS blocks the matmuls by shape).
 
 Each layer is one graph node with a hand-written backward. The attention
 backward uses FlashAttention's identity rowsum(dP * P) = rowsum(dO * O)
@@ -262,37 +263,34 @@ class PaddedBatch:
     to the longest.
 
     Built while no graph is recorded, the batch has one row per distinct
-    assembled input, in order of first use, and sentences whose inputs are
-    equal share it; built while one is, it has one row per sentence, as the
-    backward needs. ``windows[r]`` is row r's assembled ids and
-    ``owner[b]`` the row of sentence b. Row r of the encoder input is
-    ``windows[r]`` followed by ``pad_id`` up to ``width``; a full-width
-    encoder output holds it in rows r*width onwards. The last layer is
+    window, in order of first use, and sentences whose windows are equal
+    share it (BOS and EOS are the vocabulary's); built while one is, it has
+    one row per sentence, as the backward needs. ``ids[r]`` is row r of the
+    encoder input: its assembled ids, ``lengths[r]`` of them, then ``pad_id``
+    up to ``width``; a full-width encoder output holds it in rows r*width
+    onwards. ``owner[b]`` is the row of sentence b. The last layer is
     computed only at each sentence's core first subtokens, ``core_width``
     query slots per sentence.
     """
 
     def __init__(self, ctxs: list[ContextualizedSentence], pad_id: int):
         self.ctxs = ctxs
-        self.pad_id = pad_id
-        ids = [tuple(ctx.assembled_ids()) for ctx in ctxs]
-        if ad.recording():
-            self.windows, self.owner = ids, list(range(len(ids)))
-        else:
-            row: dict[tuple[int, ...], int] = {}
-            self.owner = [row.setdefault(window, len(row)) for window in ids]
-            self.windows = list(row)
-        self.lengths = [len(window) for window in self.windows]
+        shared = not ad.recording()
+        row: dict[bytes | int, tuple[int, ContextualizedSentence]] = {}
+        self.owner = [row.setdefault(ctx.window.tobytes() if shared else b, (len(row), ctx))[0]
+                      for b, ctx in enumerate(ctxs)]
+        firsts = [ctx for _, ctx in row.values()]
+        self.lengths = [ctx.assembled_length for ctx in firsts]
         self.width = max(self.lengths)
+        self.ids = np.full((len(firsts), self.width), pad_id, dtype=np.intp)
+        for r, ctx in enumerate(firsts):
+            self.ids[r, 1:len(ctx.window) + 1] = ctx.window
+            self.ids[r, [0, len(ctx.window) + 1]] = ctx.bos_id, ctx.eos_id
         self.core_width = max(len(ctx.core.first_subtoken_of_token) for ctx in ctxs)
 
     def assembled_ids(self) -> list[int]:
         """Every row of the padded input, pad slots included, row after row."""
-        ids: list[int] = []
-        for window in self.windows:
-            ids += window
-            ids += [self.pad_id] * (self.width - len(window))
-        return ids
+        return self.ids.ravel().tolist()
 
     def core_rows(self) -> list[int]:
         """Row of each core token's first subtoken in a full-width output,
@@ -322,11 +320,9 @@ def encode_transformer(batch: PaddedBatch, model: TransformerEncoder,
                        rng: np.random.Generator | None = None) -> list[Tensor]:
     """Run the encoder once over the padded rows of a batch, its last layer
     at the core first subtokens of each sentence only."""
-    ids = np.asarray(batch.assembled_ids(), dtype=np.intp)
-    shared = len(batch.windows) < len(batch.ctxs)
-    return model.forward(ids.reshape(len(batch.windows), batch.width), batch.lengths,
-                         batch.query_positions(), train=train, rng=rng,
-                         owner=np.asarray(batch.owner) if shared else None)
+    owner = np.asarray(batch.owner) if len(batch.ids) < len(batch.ctxs) else None
+    return model.forward(batch.ids, batch.lengths, batch.query_positions(),
+                         train=train, rng=rng, owner=owner)
 
 
 def check_pool_strategy(strategy: str, layers: int) -> None:
@@ -353,8 +349,7 @@ def extract_core_tokens(hidden: list[Tensor], batch: PaddedBatch,
     core = []
     for i in range(first, top + 1):
         queried = 0 < i == top
-        rows = (len(batch.ctxs) * batch.core_width if queried
-                else len(batch.windows) * batch.width)
+        rows = len(batch.ctxs) * batch.core_width if queried else batch.ids.size
         if hidden[i].shape[0] != rows:
             raise ValueError(f"layer {i} output covers {hidden[i].shape[0]} rows but the "
                              f"padded {'core' if queried else 'assembled input'} has {rows}")

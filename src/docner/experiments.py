@@ -57,16 +57,15 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must hold an object, got {raw!r}")
         for key, sub in (("context", ContextConfig),
                          ("transformer", TransformerConfig),
                          ("finetune", FineTuneConfig),
                          ("feature", FeatureBasedConfig)):
             if key in raw:
                 raw[key] = config_block(key, sub, raw[key])
-        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return config_block("config", cls, raw)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -195,8 +195,8 @@ class NerModel:
         ENCODE_ROW_BUDGET padded rows; the result is in input order. No graph
         is recorded, so within a batch the sentences whose assembled inputs
         are equal share one encoder row (`PaddedBatch`): each distinct input
-        is encoded once, and each sentence's features keep the bits of a
-        row of its own.
+        is encoded once, with the bits of a row per sentence in that batch;
+        alone, a sentence can differ in the last bits (BLAS blocks by shape).
         """
         features: list[np.ndarray] = [np.empty(0)] * len(ctxs)
         with ad.no_grad():

@@ -256,6 +256,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"^{key} must hold an object"):
             ExperimentConfig.from_json(f'{{"{key}": {value}}}')
 
+    @pytest.mark.parametrize("value", ["[]", "3", "null"])
+    def test_non_object_config_rejected(self, value):
+        from docner.experiments import ExperimentConfig
+        with pytest.raises(ValueError, match="^config must hold an object"):
+            ExperimentConfig.from_json(value)
+
+    @pytest.mark.parametrize("field,value", [("enforce_boundaries", '"false"'),
+                                             ("enforce_boundaries", "1"),
+                                             ("window", "3.5"), ("window", '"8"'),
+                                             ("window", "true")])
+    def test_mistyped_context_field_rejected(self, field, value):
+        from docner.experiments import ExperimentConfig
+        with pytest.raises(ValueError, match=f"context {field} must be"):
+            ExperimentConfig.from_json(f'{{"context": {{"{field}": {value}}}}}')
+
     def test_dev_type_that_train_lacks_reported_at_recall_zero(self, tmp_path):
         paths = write_corpus_files(tmp_path)
         train = parse_conll(Path(paths["train"]).read_text(encoding="utf-8"))

@@ -1,6 +1,7 @@
 import itertools
 import logging
 
+import numpy as np
 import pytest
 
 from docner.context import (ContextConfig, ContextualizedSentence, SubtokenStream,
@@ -229,14 +230,28 @@ class TestFitToLength:
         with caplog.at_level(logging.ERROR, logger="docner.context"):
             for n_left, n_right in itertools.product(range(16), repeat=2):
                 ctx = ContextualizedSentence(
-                    left_ids=list(range(n_left)), core=core,
-                    right_ids=list(range(100, 100 + n_right)),
-                    bos_id=0, eos_id=1)
+                    window=np.r_[np.arange(n_left), 7, np.arange(100, 100 + n_right)],
+                    core_offset=n_left, core=core, bos_id=0, eos_id=1)
                 for budget in range(n_left + n_right):
                     fitted = fit_to_length(ctx, 3 + budget)
                     assert (fitted.left_ids, fitted.right_ids) == trim_one_at_a_time(
                         ctx.left_ids, ctx.right_ids, budget)
                     assert fitted.core_start == len(fitted.left_ids) + 1
+
+    @pytest.mark.parametrize("enforce", [False, True])
+    def test_windows_are_views_of_the_stream(self, two_doc_corpus, small_vocab, caplog,
+                                            enforce):
+        stream = SubtokenStream(two_doc_corpus.documents, small_vocab)
+        trimmed = 0
+        with caplog.at_level(logging.ERROR, logger="docner.context"):
+            for sentence in two_doc_corpus.sentences():
+                ctx = build_context(sentence, stream, ContextConfig(64, enforce))
+                assert np.shares_memory(ctx.window, stream.ids)
+                if ctx.assembled_length > len(ctx.core.ids) + 2:
+                    fitted = fit_to_length(ctx, ctx.assembled_length - 1)
+                    assert fitted is not ctx and np.shares_memory(fitted.window, stream.ids)
+                    trimmed += 1
+        assert trimmed > 0
 
     def test_oversized_core_raises(self, two_doc_corpus, small_vocab):
         doc = two_doc_corpus.documents[0]

@@ -27,8 +27,8 @@ def make_ctx(core_ids, left=(), right=(), bos=0, eos=1,
     counts = counts if counts is not None else [1] * len(core_ids)
     enc = SubwordEncoding(ids=list(core_ids), first_subtoken_of_token=firsts,
                           subtoken_count_per_token=counts)
-    return ContextualizedSentence(left_ids=list(left), core=enc,
-                                  right_ids=list(right), bos_id=bos, eos_id=eos)
+    return ContextualizedSentence(window=np.asarray([*left, *core_ids, *right]),
+                                  core_offset=len(left), core=enc, bos_id=bos, eos_id=eos)
 
 
 def batch_of(*ctxs):
@@ -239,12 +239,23 @@ class TestBatchedForward:
         assert batch.core_width == 3
         np.testing.assert_array_equal(batch.query_positions(), [[1, 0, 0], [2, 3, 4]])
         assert batch.core_query_rows() == [0, 3, 4, 5]
+        # each sentence's row of the id array is its assembled ids, then pads,
+        # in a recorded batch and in one whose equal windows share a row
+        ctxs = [make_ctx([5]), make_ctx([5, 6, 7], left=[8]), make_ctx([8, 5], right=[6, 7])]
+        recorded = batch_of(*ctxs)
+        with ad.no_grad():
+            shared = batch_of(*ctxs)
+        assert (recorded.ids.shape, shared.ids.shape) == ((3, 6), (2, 6))
+        for batch in (recorded, shared):
+            for ctx, r in zip(ctxs, batch.owner):
+                pads = [PAD] * (batch.width - ctx.assembled_length)
+                assert batch.ids[r].tolist() == ctx.assembled_ids() + pads
 
     def test_equal_inputs_share_a_row_only_without_a_graph(self, encoder):
         ctxs = [make_ctx([5, 6], right=[7]), make_ctx([5]), make_ctx([6, 7], left=[5])]
         assert ctxs[0].assembled_ids() == ctxs[2].assembled_ids()
         recorded = batch_of(*ctxs)
-        assert (recorded.owner, len(recorded.windows)) == ([0, 1, 2], 3)
+        assert (recorded.owner, len(recorded.ids)) == ([0, 1, 2], 3)
         with ad.no_grad():
             batch = batch_of(*ctxs)
             hidden = encode_transformer(batch, encoder)

@@ -352,6 +352,15 @@ class TestCheckpoint:
                                              rf"{key}: \['windw'\]"):
             NerModel.load(path)
 
+    @pytest.mark.parametrize("field,value", [("enforce_boundaries", "false"),
+                                             ("window", 3.5), ("window", "8"),
+                                             ("window", False)])
+    def test_mistyped_context_meta_rejected(self, setup, tmp_path, field, value):
+        path = saved_then_edited(setup, tmp_path,
+                                 edit_meta=lambda meta: meta["context"].update({field: value}))
+        with pytest.raises(ValueError, match=f"context {field} must be"):
+            NerModel.load(path)
+
     def test_non_finite_parameter_rejected(self, setup, tmp_path):
         def poison(arrays):
             arrays["param/head_b"] = arrays["param/head_b"].copy()
