@@ -6,17 +6,19 @@ trained from scratch. It encodes a batch of sentences in one pass, their
 assembled inputs right-padded to the longest with padded keys masked out
 of attention, and returns the output of every layer, embedding layer
 included, so downstream code can pool layers the way the two training
-regimes need (last layer, all-layer mean, last-four concat). Only each core
-token's first subtoken is read downstream, so the last layer, which no later
-layer reads as keys, computes only those rows; callers take each layer's
-core rows first and pool them after.
+regimes need (last layer, all-layer mean, last-four concat).
 
-While no graph is recorded, sentences with equal assembled inputs (those of
-one document when the window covers it whole under enforced boundaries)
-share one encoder row: the layers below the last run once per distinct
-input, and the last layer gathers each sentence's keys and values from its
-row, so features equal a batch's with a row per sentence to the bit (a batch
-of one may differ in the last bits: BLAS blocks the matmuls by shape).
+A batch is query slots over distinct windows: each encoder row is one
+window's assembled input, and each sentence a set of query slots on its row,
+its core tokens' first subtokens, the only positions read downstream. The
+last layer, which no later layer reads as keys, is computed at the slots
+only, against the keys and values of the sentence's row; callers take each
+layer's core rows first and pool them after. While no graph is recorded,
+sentences with equal assembled inputs (those of one document when the window
+covers it whole under enforced boundaries) are slots on one row, so each
+distinct input is encoded once, with the bits of a row per sentence (a batch
+of one may differ in the last bits: BLAS blocks the matmuls by shape); while
+one is, each sentence has its own row.
 
 Each layer is one graph node with a hand-written backward. The attention
 backward uses FlashAttention's identity rowsum(dP * P) = rowsum(dO * O)
@@ -104,26 +106,26 @@ class TransformerEncoder:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def forward(self, ids: np.ndarray, lengths: Sequence[int], queries: np.ndarray,
-                train: bool = False, rng: np.random.Generator | None = None,
-                owner: np.ndarray | None = None) -> list[Tensor]:
-        """Encode a [R, n] batch of right-padded subtoken ids, of which the
-        first ``lengths[r]`` of row r are real, for S sentences: sentence b
-        reads row ``owner[b]``, or row b without `owner` (then R = S).
+    def forward(self, ids: np.ndarray, lengths: Sequence[int], owner: np.ndarray,
+                queries: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None) -> list[Tensor]:
+        """Encode a [R, n] batch of right-padded subtoken ids, one window per
+        row, the first ``lengths[r]`` of row r real, for S sentences: sentence
+        b is the query slots ``queries[b]`` [m] on row ``owner[b]``.
 
         Returns [embeddings, layer 1, ..., layer L]. Each is [R*n, D] with
-        row r in rows r*n to r*n + n - 1, except layer L: it is computed
-        only at the [S, m] positions ``queries`` and is [S*m, D], row b*m + j
-        holding position ``queries[b, j]`` of sentence b. Its keys and values
-        still come from every position of the sentence's row, and no later
-        layer reads it, so those rows equal the full layer's. Padded keys get
-        a -inf attention score, so a sentence's rows do not depend on the
-        padding. Rows are shared only while no graph is recorded: that layout
-        has no backward.
+        row r in rows r*n to r*n + n - 1, except layer L: it is computed only
+        at the slots and is [S*m, D], row b*m + j holding position
+        ``queries[b, j]`` of row ``owner[b]``. Its keys and values still come
+        from every position of that row, and no later layer reads it, so
+        those rows equal the full layer's. Padded keys get a -inf attention
+        score, so a sentence's rows do not depend on the padding. While a
+        graph is recorded `owner` must be the identity: a shared row has no
+        backward.
         """
         c = self.config
         batch, n = ids.shape
-        if owner is not None and ad.recording():
+        if ad.recording() and not np.array_equal(owner, np.arange(batch)):
             raise ValueError("sentences share encoder rows only under no_grad: "
                              "the shared layout has no backward")
         if n > c.max_positions:
@@ -139,24 +141,23 @@ class TransformerEncoder:
             padded = np.arange(n) >= np.asarray(lengths)[:, None]
             key_mask = np.where(padded, -np.inf, 0.0).astype(x.dtype)[:, None, None, :]
         drop = (c.dropout, rng) if train and c.dropout > 0.0 else None
-        sentence_rows = np.arange(batch) if owner is None else owner
         hidden = [x]
         for i in range(c.layers):
             last = i == c.layers - 1
-            rows = (sentence_rows[:, None] * n + queries).reshape(-1) if last else None
-            x = self._layer(i, x, batch, key_mask, rows, drop, owner if last else None)
+            slots = ((owner[:, None] * n + queries).reshape(-1), owner) if last else None
+            x = self._layer(i, x, batch, key_mask, drop, slots)
             hidden.append(x)
         return hidden
 
     def _layer(self, i: int, x: Tensor, batch: int, key_mask: np.ndarray | None,
-               rows: np.ndarray | None, drop, owner: np.ndarray | None = None) -> Tensor:
+               drop, slots: tuple[np.ndarray, np.ndarray] | None) -> Tensor:
         """Transformer layer i over x [R*n, D] as one graph node over x and
         the layer's parameters, the last layer's final layer norm included.
 
-        `rows` (last layer only) are the flat rows the queries, the
-        feed-forward block and the final layer norm are computed at; keys and
-        values come from every row, sentence b's from encoder row ``owner[b]``
-        when `owner` is given (no graph recorded). `drop` is (rate, generator)
+        `slots` (last layer only) is (rows, owner): the flat rows of x the
+        queries, the feed-forward block and the final layer norm are computed
+        at, and the encoder row of each sentence, whose keys, values and key
+        mask the sentence's queries read. `drop` is (rate, generator)
         in training with dropout, else None. The forward hands the matmuls
         and the softmax plain arrays, constants, so they record nothing; the
         layer norm and GELU nodes take their inputs as Tensors and keep the
@@ -191,13 +192,15 @@ class TransformerEncoder:
         ln1 = ad.layer_norm(x, ln1_g, ln1_b)
         a = ln1.data
         k, v = affine(a, wk, wk_b), affine(a, wv, wv_b)
-        if owner is not None:  # each sentence's keys, values and key mask from its row
+        xq, aq = x.data, a
+        if slots is not None:  # each sentence's keys, values and key mask from its row
+            rows, owner = slots
             k, v = (t.reshape(batch, -1, c.model_dim)[owner].reshape(-1, c.model_dim)
                     for t in (k, v))
             key_mask = None if key_mask is None else key_mask[owner]
             batch = len(owner)
+            xq, aq = x.data[rows], a[rows]
         k, v = split(k), split(v)
-        xq, aq = (x.data, a) if rows is None else (x.data[rows], a[rows])
         q = split(affine(aq, wq, wq_b))
         scores = ad.matmul(q, k.transpose(0, 1, 3, 2)).data
         scores *= inv_sqrt
@@ -212,13 +215,13 @@ class TransformerEncoder:
         act = ad.gelu(Tensor(affine(f, w1, w1_b)))
         out, mask2 = dropped(affine(act.data, w2, w2_b))
         out += x1  # the residual
-        if rows is not None:
+        if slots is not None:
             final = ad.layer_norm(Tensor(out), *final_ln)
             out = final.data
 
         def back(g):
             final_grads = []
-            if rows is not None:
+            if slots is not None:
                 g, *final_grads = final._backward(g)
             d_ff = g if mask2 is None else g * mask2
             d_pre = act._backward(d_ff @ w2.data.T)[0]
@@ -244,7 +247,7 @@ class TransformerEncoder:
             d_a = d_k @ wk.data.T
             d_a += d_v @ wv.data.T
             d_aq = d_q @ wq.data.T
-            if rows is None:
+            if slots is None:
                 d_a += d_aq
                 d_x = d_x1
             else:  # query slots may repeat a row
@@ -259,26 +262,25 @@ class TransformerEncoder:
 
 
 class PaddedBatch:
-    """The assembled inputs of several sentences as encoder rows, right-padded
-    to the longest.
+    """Sentences as query slots over distinct windows, the encoder's rows.
 
-    Built while no graph is recorded, the batch has one row per distinct
-    window, in order of first use, and sentences whose windows are equal
-    share it (BOS and EOS are the vocabulary's); built while one is, it has
-    one row per sentence, as the backward needs. ``ids[r]`` is row r of the
-    encoder input: its assembled ids, ``lengths[r]`` of them, then ``pad_id``
-    up to ``width``; a full-width encoder output holds it in rows r*width
-    onwards. ``owner[b]`` is the row of sentence b. The last layer is
-    computed only at each sentence's core first subtokens, ``core_width``
-    query slots per sentence.
+    ``ids[r]`` is row r: one window's assembled ids, ``lengths[r]`` of them,
+    then ``pad_id`` up to ``width``; a full-width encoder output holds it in
+    rows r*width onwards. Sentence b is the query slots ``queries[b]`` on row
+    ``owner[b]``: its core first subtokens, then position 0 (BOS) up to
+    ``core_width``. ``core`` indexes the real slots of the flat [S*core_width]
+    slot layout. Built while no graph is recorded, the batch has one row per
+    distinct window, in order of first use (BOS and EOS are the vocabulary's);
+    built while one is, one row per sentence in order, as the backward needs.
     """
 
     def __init__(self, ctxs: list[ContextualizedSentence], pad_id: int):
         self.ctxs = ctxs
         shared = not ad.recording()
         row: dict[bytes | int, tuple[int, ContextualizedSentence]] = {}
-        self.owner = [row.setdefault(ctx.window.tobytes() if shared else b, (len(row), ctx))[0]
-                      for b, ctx in enumerate(ctxs)]
+        self.owner = np.asarray(
+            [row.setdefault(ctx.window.tobytes() if shared else b, (len(row), ctx))[0]
+             for b, ctx in enumerate(ctxs)], dtype=np.intp)
         firsts = [ctx for _, ctx in row.values()]
         self.lengths = [ctx.assembled_length for ctx in firsts]
         self.width = max(self.lengths)
@@ -286,43 +288,31 @@ class PaddedBatch:
         for r, ctx in enumerate(firsts):
             self.ids[r, 1:len(ctx.window) + 1] = ctx.window
             self.ids[r, [0, len(ctx.window) + 1]] = ctx.bos_id, ctx.eos_id
-        self.core_width = max(len(ctx.core.first_subtoken_of_token) for ctx in ctxs)
+        aligned = [ctx.shifted_alignment() for ctx in ctxs]
+        self.core_width = max(map(len, aligned))
+        self.queries = np.zeros((len(ctxs), self.core_width), dtype=np.intp)
+        for b, positions in enumerate(aligned):
+            self.queries[b, :len(positions)] = positions
+        self.core = np.asarray([b * self.core_width + j for b, positions in enumerate(aligned)
+                                for j in range(len(positions))], dtype=np.intp)
 
     def assembled_ids(self) -> list[int]:
         """Every row of the padded input, pad slots included, row after row."""
         return self.ids.ravel().tolist()
 
-    def core_rows(self) -> list[int]:
-        """Row of each core token's first subtoken in a full-width output,
-        sentence after sentence."""
-        return [r * self.width + row for ctx, r in zip(self.ctxs, self.owner)
-                for row in ctx.shifted_alignment()]
-
-    def query_positions(self) -> np.ndarray:
-        """[B, core_width] positions at which the last layer is computed:
-        sentence b's core first subtokens, then its position 0 (BOS) in the
-        query slots its shorter core leaves over."""
-        queries = np.zeros((len(self.ctxs), self.core_width), dtype=np.intp)
-        for b, ctx in enumerate(self.ctxs):
-            aligned = ctx.shifted_alignment()
-            queries[b, :len(aligned)] = aligned
-        return queries
-
-    def core_query_rows(self) -> list[int]:
-        """Row of each core token in the last layer's output, sentence after
-        sentence: the real query slots of `query_positions`."""
-        return [b * self.core_width + j for b, ctx in enumerate(self.ctxs)
-                for j in range(len(ctx.core.first_subtoken_of_token))]
+    def core_rows(self) -> np.ndarray:
+        """Row of each core token's first subtoken in a full-width output:
+        the position of its query slot on its sentence's row."""
+        return (self.owner[:, None] * self.width + self.queries).ravel()[self.core]
 
 
 def encode_transformer(batch: PaddedBatch, model: TransformerEncoder,
                        train: bool = False,
                        rng: np.random.Generator | None = None) -> list[Tensor]:
     """Run the encoder once over the padded rows of a batch, its last layer
-    at the core first subtokens of each sentence only."""
-    owner = np.asarray(batch.owner) if len(batch.ids) < len(batch.ctxs) else None
-    return model.forward(batch.ids, batch.lengths, batch.query_positions(),
-                         train=train, rng=rng, owner=owner)
+    at the query slots of each sentence only."""
+    return model.forward(batch.ids, batch.lengths, batch.owner, batch.queries,
+                         train=train, rng=rng)
 
 
 def check_pool_strategy(strategy: str, layers: int) -> None:
@@ -341,7 +331,7 @@ def extract_core_tokens(hidden: list[Tensor], batch: PaddedBatch,
     token, sentence after sentence (first-subword pooling).
 
     `hidden` is the encoder's [embeddings, layer 1, ..., layer L], the last
-    layer holding only the query slots of `PaddedBatch.query_positions`.
+    layer holding only the batch's query slots.
     """
     top = len(hidden) - 1
     check_pool_strategy(strategy, top)
@@ -349,12 +339,11 @@ def extract_core_tokens(hidden: list[Tensor], batch: PaddedBatch,
     core = []
     for i in range(first, top + 1):
         queried = 0 < i == top
-        rows = len(batch.ctxs) * batch.core_width if queried else batch.ids.size
+        rows = batch.queries.size if queried else batch.ids.size
         if hidden[i].shape[0] != rows:
             raise ValueError(f"layer {i} output covers {hidden[i].shape[0]} rows but the "
                              f"padded {'core' if queried else 'assembled input'} has {rows}")
-        core.append(ad.take_rows(hidden[i],
-                                 batch.core_query_rows() if queried else batch.core_rows()))
+        core.append(ad.take_rows(hidden[i], batch.core if queried else batch.core_rows()))
     return core
 
 

@@ -186,6 +186,8 @@ def load_inputs(cfg: ExperimentConfig) -> tuple[Path, SubwordVocab, Corpus,
     exp_dir.mkdir(parents=True, exist_ok=True)
     with _stage("load corpora"):
         train = load_corpus(cfg.train_path, cfg, "train")
+        if train.num_sentences == 0:
+            raise ValueError(f"{cfg.train_path} holds no sentence to train on")
         dev = load_corpus(cfg.dev_path, cfg, "dev") if cfg.dev_path else None
         test = load_corpus(cfg.test_path, cfg, "test") if cfg.test_path else None
     with _stage("vocabulary"):

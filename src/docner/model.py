@@ -13,6 +13,8 @@ import inspect
 import io
 import itertools
 import json
+import types
+import typing
 import zipfile
 from dataclasses import asdict, fields
 
@@ -385,14 +387,37 @@ class NerModel:
 
 def config_block(key: str, cls, value):
     """The dataclass `cls` built from the JSON object `value` stored under
-    `key`; a value that is not an object, or that holds a key `cls` has no
-    field for, is a ValueError naming `key`."""
+    `key`; a value that is not an object, that holds a key `cls` has no
+    field for, or whose value for a field does not have the field's type is
+    a ValueError naming `key` and the field."""
     if not isinstance(value, dict):
         raise ValueError(f"{key} must hold an object, got {value!r}")
     unknown = sorted(set(value) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown keys in {key}: {unknown}")
+    hints = typing.get_type_hints(cls)
+    for name, item in value.items():
+        hint = hints[name]
+        if not _has_type(item, hint):
+            expected = str(hint) if typing.get_args(hint) else hint.__name__
+            raise ValueError(f"{key} {name} must be {expected}, got {item!r}")
     return cls(**value)
+
+
+def _has_type(value, annotation) -> bool:
+    """Whether a JSON-decoded `value` fits a config field's `annotation`: a
+    bool is not an int, an int is a float, None fits an optional field,
+    lists are checked item by item, and any other class by isinstance."""
+    if annotation is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if annotation is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if typing.get_origin(annotation) is list:
+        [item] = typing.get_args(annotation)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(annotation, types.UnionType):
+        return any(_has_type(value, option) for option in typing.get_args(annotation))
+    return isinstance(value, annotation)
 
 
 def _longest_first(lengths: list[int]):

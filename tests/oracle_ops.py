@@ -89,8 +89,9 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
     return Tensor(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def transformer_forward(encoder, ids: np.ndarray, lengths, queries: np.ndarray,
-                        train: bool = False, rng: np.random.Generator | None = None):
+def transformer_forward(encoder, ids: np.ndarray, lengths, owner: np.ndarray,
+                        queries: np.ndarray, train: bool = False,
+                        rng: np.random.Generator | None = None):
     """`TransformerEncoder.forward` op by op: the same arguments, the same
     [embeddings, layer 1, ..., layer L] and the same dropout draws."""
     c = encoder.config
@@ -113,11 +114,16 @@ def transformer_forward(encoder, ids: np.ndarray, lengths, queries: np.ndarray,
     for i in range(c.layers):
         last = i == c.layers - 1
         a = ad.layer_norm(x, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-        k = split_heads(a @ p[f"l{i}.wk"] + p[f"l{i}.wk_b"])
-        v = split_heads(a @ p[f"l{i}.wv"] + p[f"l{i}.wv_b"])
-        if last:  # keys and values from every row, the rest at the queries only
-            rows = (np.arange(batch)[:, None] * n + queries).reshape(-1)
+        k = a @ p[f"l{i}.wk"] + p[f"l{i}.wk_b"]
+        v = a @ p[f"l{i}.wv"] + p[f"l{i}.wv_b"]
+        if last:  # keys and values from each sentence's row, the rest at its slots only
+            keys = (owner[:, None] * n + np.arange(n)).reshape(-1)
+            k, v = ad.take_rows(k, keys), ad.take_rows(v, keys)
+            rows = (owner[:, None] * n + queries).reshape(-1)
             x, a = ad.take_rows(x, rows), ad.take_rows(a, rows)
+            key_mask = None if key_mask is None else key_mask[owner]
+            batch = len(owner)
+        k, v = split_heads(k), split_heads(v)
         q = split_heads(a @ p[f"l{i}.wq"] + p[f"l{i}.wq_b"])
         scores = (q @ transpose(k, (0, 1, 3, 2))) * inv_sqrt
         if key_mask is not None:  # a full-size constant: no size-1 broadcast

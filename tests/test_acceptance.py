@@ -167,17 +167,22 @@ def test_criterion_2_gradient_fidelity():
     assert elapsed < 60.0, f"gradient checks took {elapsed:.1f}s"
 
 
-def _random_corpus_text(rng, n_docs):
+def _random_corpus_text(rng, n_docs, sentences=(1, 5), tokens=(1, 9), chars=(1, 6),
+                        tags=lambda rng, n: ["O"] * n):
+    """CoNLL text of `n_docs` documents of random tokens over "abcdefgh": each
+    range is ``rng.integers``' [low, high) for the sentences per document,
+    tokens per sentence and characters per token; `tags(rng, n)` tags a
+    sentence of n tokens."""
     docs = []
     for _ in range(n_docs):
-        sentences = []
-        for _ in range(int(rng.integers(1, 5))):
-            tokens = []
-            for _ in range(int(rng.integers(1, 9))):
-                length = int(rng.integers(1, 6))
-                tokens.append("".join(rng.choice(list("abcdefgh"), size=length)))
-            sentences.append("\n".join(f"{t} O" for t in tokens))
-        docs.append("\n\n".join(sentences))
+        block = []
+        for _ in range(int(rng.integers(*sentences))):
+            words = []
+            for _ in range(int(rng.integers(*tokens))):
+                length = int(rng.integers(*chars))
+                words.append("".join(rng.choice(list("abcdefgh"), size=length)))
+            block.append("\n".join(f"{t} {tag}" for t, tag in zip(words, tags(rng, len(words)))))
+        docs.append("\n\n".join(block))
     parts = []
     for block in docs:
         parts.append("-DOCSTART- O\n")

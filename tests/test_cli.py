@@ -1,19 +1,24 @@
 import json
 import re
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import docner.model
 from docner.cli import main
 from docner.context import ContextConfig
-from docner.corpus import format_conll, parse_conll
+from docner.corpus import Span, TagScheme, format_conll, parse_conll, tags_from_spans
 from docner.encoder import TransformerConfig
-from docner.model import NerModel
+from docner.experiments import ExperimentConfig, StageError, run_experiment
+from docner.model import HEADS, MODES, NerModel, predict_corpus
 from docner.synthetic import cue_corpus, overfit_corpus
 from docner.tokenizer import SubwordVocab, train_vocab
+from docner.training import FeatureBasedConfig, FineTuneConfig
+from test_acceptance import _random_corpus_text
 from test_corpus import conll_texts, without_type
 
 TINY_TRANSFORMER = {"layers": 1, "heads": 2, "model_dim": 16, "ff_dim": 32,
@@ -271,6 +276,38 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"context {field} must be"):
             ExperimentConfig.from_json(f'{{"context": {{"{field}": {value}}}}}')
 
+    def test_train_split_without_sentences_rejected(self, tmp_path):
+        paths = write_corpus_files(tmp_path)
+        Path(paths["train"]).write_text("-DOCSTART- O\n\n", encoding="utf-8")
+        cfg = ExperimentConfig.from_json(write_config(tmp_path, paths).read_text())
+        with pytest.raises(StageError, match="load corpora.*no sentence to train on"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"finetune": {"include_dev": "false"}}', "finetune include_dev must be bool"),
+        ('{"use_word_embeddings": "false"}', "config use_word_embeddings must be bool"),
+        ('{"constrain_transitions": 1}', "config constrain_transitions must be bool"),
+        ('{"finetune": {"batch_size": 2.5}}', "finetune batch_size must be int"),
+        ('{"finetune": {"max_epochs": 2.5}}', "finetune max_epochs must be int"),
+        ('{"feature": {"patience": 1.5}}', "feature patience must be int"),
+        ('{"transformer": {"layers": 2.0}}', "transformer layers must be int"),
+        ('{"transformer": {"heads": true}}', "transformer heads must be int"),
+        ('{"feature": {"learning_rate": "0.1"}}', "feature learning_rate must be float"),
+        ('{"finetune": {"weight_decay": false}}', "finetune weight_decay must be float"),
+        ('{"seeds": 3}', "config seeds must be list[int]"),
+        ('{"seeds": [1, 2.5]}', "config seeds must be list[int]"),
+        ('{"name": null}', "config name must be str"),
+        ('{"dev_path": 3}', "config dev_path must be str | None"),
+    ])
+    def test_mistyped_config_value_rejected(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, got "):
+            ExperimentConfig.from_json(text)
+
+    def test_int_for_a_float_and_null_for_an_optional_field_accepted(self):
+        cfg = ExperimentConfig.from_json('{"finetune": {"learning_rate": 1}, '
+                                         '"dev_path": null, "layer_strategy": null}')
+        assert (cfg.finetune.learning_rate, cfg.dev_path, cfg.layer_strategy) == (1, None, None)
+
     def test_dev_type_that_train_lacks_reported_at_recall_zero(self, tmp_path):
         paths = write_corpus_files(tmp_path)
         train = parse_conll(Path(paths["train"]).read_text(encoding="utf-8"))
@@ -324,3 +361,64 @@ class TestStageErrors:
         with pytest.raises(StageError, match="load corpora"):
             main(["train", "--config", str(config)])
 
+
+def random_entities(types, scheme):
+    """A tagger for `_random_corpus_text`: entities of 1-3 tokens, each of one
+    of `types`, written in `scheme`."""
+    def tags(rng, n):
+        spans, start = [], 0
+        while start < n:
+            if types and rng.random() < 0.3:
+                end = min(n, start + int(rng.integers(1, 4)))
+                spans.append(Span(types[int(rng.integers(len(types)))], start, end - 1))
+                start = end
+            else:
+                start += 1
+        return tags_from_spans(spans, n, scheme)
+    return tags
+
+
+class TestWellFormedInput:
+    """No well-formed input aborts a run. Two cases still do and are not
+    drawn until they are fixed: a sentence whose core needs more positions
+    than the encoder has (the tiny model has room for any drawn core), and
+    predict input without a tag column."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scheme=st.sampled_from(TagScheme),
+           mode=st.sampled_from(MODES), head=st.sampled_from(HEADS),
+           window=st.sampled_from([0, 1, 64]), enforce=st.booleans(),
+           include_dev=st.booleans(), dev_only=st.booleans(), test_only=st.booleans())
+    def test_a_run_tags_every_token(self, seed, scheme, mode, head, window, enforce,
+                                    include_dev, dev_only, test_only):
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths, corpora = {}, {}
+            for split, types in (("train", ["LOC", "PER"]),
+                                 ("dev", ["LOC", "PER"] + ["ORG"] * dev_only),
+                                 ("test", ["LOC"] + ["MISC"] * test_only)):
+                text = _random_corpus_text(rng, int(rng.integers(1, 4)), sentences=(0, 5),
+                                           tokens=(1, 10), chars=(1, 41),
+                                           tags=random_entities(types, scheme))
+                paths[split] = Path(tmp) / f"{split}.conll"
+                paths[split].write_text(text, encoding="utf-8")
+                corpora[split] = parse_conll(text, split=split)
+            assume(corpora["train"].num_sentences > 0)  # nothing to train on: an error
+            cfg = ExperimentConfig(
+                mode=mode, head=head, seeds=[0], train_path=str(paths["train"]),
+                dev_path=str(paths["dev"]), test_path=str(paths["test"]), vocab_size=40,
+                bilstm_hidden=4, out_dir=tmp,
+                context=ContextConfig(window, enforce),
+                # room for the longest drawn core: 9 tokens of 40 characters
+                transformer=TransformerConfig(layers=1, heads=2, model_dim=8, ff_dim=16,
+                                              max_positions=9 * 40 + 2),
+                finetune=FineTuneConfig(max_epochs=1, include_dev=include_dev
+                                        and mode == "finetune"),
+                feature=FeatureBasedConfig(max_epochs=1))
+            result = run_experiment(cfg)
+            model = NerModel.load(Path(result.seeds[0].run_dir) / "checkpoint.npz")
+            for corpus in (corpora["dev"], corpora["test"]):
+                predicted = predict_corpus(model, corpus)
+                assert predicted.num_tokens == corpus.num_tokens
+                assert all(tok.predicted_tag is not None
+                           for s in predicted.sentences() for tok in s.tokens)

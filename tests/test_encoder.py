@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from docner import autodiff as ad
 from docner.autodiff import Tensor
@@ -29,6 +31,22 @@ def make_ctx(core_ids, left=(), right=(), bos=0, eos=1,
                           subtoken_count_per_token=counts)
     return ContextualizedSentence(window=np.asarray([*left, *core_ids, *right]),
                                   core_offset=len(left), core=enc, bos_id=bos, eos_id=eos)
+
+
+@st.composite
+def windows_over_a_pool(draw):
+    """A context over one of three small windows, its core a drawn span of
+    it whose tokens are 1-2 subtokens long, so that drawn lists hold equal
+    windows with cores in different places."""
+    window = draw(st.sampled_from([[5], [5, 6, 7, 8], [8, 5, 6, 7, 9, 4]]))
+    start = draw(st.integers(0, len(window) - 1))
+    end = draw(st.integers(start + 1, len(window)))
+    counts, left = [], end - start
+    while left:
+        counts.append(draw(st.integers(1, min(2, left))))
+        left -= counts[-1]
+    return make_ctx(window[start:end], left=window[:start], right=window[end:],
+                    firsts=[sum(counts[:t]) for t in range(len(counts))], counts=counts)
 
 
 def batch_of(*ctxs):
@@ -73,9 +91,9 @@ class TestEncodeTransformer:
         a, b = make_ctx([5, 6], right=[7]), make_ctx([5, 6], right=[9])
         with ad.no_grad():
             ha = enc.forward(np.asarray([a.assembled_ids()]), [a.assembled_length],
-                             np.asarray([[1, 2]]))
+                             np.asarray([0]), np.asarray([[1, 2]]))
             hb = enc.forward(np.asarray([b.assembled_ids()]), [b.assembled_length],
-                             np.asarray([[1, 2]]))
+                             np.asarray([0]), np.asarray([[1, 2]]))
         assert len(ha) == 1
         np.testing.assert_array_equal(ha[0].data[:3], hb[0].data[:3])
 
@@ -207,7 +225,7 @@ class TestBatchedForward:
         ctxs = mixed_length_batch(rng, 64)
         batch = batch_of(*ctxs)
         ids = np.asarray(batch.assembled_ids()).reshape(4, 64)
-        queries = batch.query_positions()
+        queries = batch.queries
         m = batch.core_width
         with ad.no_grad():
             before = [h.data.copy() for h in encode_transformer(batch, encoder)]
@@ -223,7 +241,7 @@ class TestBatchedForward:
                 spare = m - len(other.shifted_alignment())
                 moved[c, m - spare:] = rng.integers(0, 64, spare)
             with ad.no_grad():
-                after = encoder.forward(ids, batch.lengths, moved)
+                after = encoder.forward(ids, batch.lengths, batch.owner, moved)
             encoder.params["tok_emb"].data, encoder.params["pos_emb"].data = saved
             rows = slice(b * 64, b * 64 + n)
             for h0, h1 in zip(before[:-1], after[:-1]):
@@ -231,38 +249,54 @@ class TestBatchedForward:
             core_rows = slice(b * m, b * m + tokens)
             np.testing.assert_array_equal(after[-1].data[core_rows], before[-1][core_rows])
 
-    def test_pad_slots_are_listed_and_counted(self):
+    @settings(max_examples=60, deadline=None)
+    @given(ctxs=st.lists(windows_over_a_pool(), min_size=1, max_size=6))
+    @example(ctxs=[make_ctx([5]), make_ctx([5, 6, 7], left=[8]),
+                   make_ctx([8, 5], right=[6, 7])])
+    def test_pad_slots_are_listed_and_counted(self, ctxs):
         batch = batch_of(make_ctx([5]), make_ctx([5, 6, 7], left=[8]))
         assert batch.width == 6
         assert batch.assembled_ids() == [0, 5, 1, PAD, PAD, PAD, 0, 8, 5, 6, 7, 1]
-        assert batch.core_rows() == [1, 8, 9, 10]
+        assert batch.core_rows().tolist() == [1, 8, 9, 10]
         assert batch.core_width == 3
-        np.testing.assert_array_equal(batch.query_positions(), [[1, 0, 0], [2, 3, 4]])
-        assert batch.core_query_rows() == [0, 3, 4, 5]
-        # each sentence's row of the id array is its assembled ids, then pads,
-        # in a recorded batch and in one whose equal windows share a row
-        ctxs = [make_ctx([5]), make_ctx([5, 6, 7], left=[8]), make_ctx([8, 5], right=[6, 7])]
+        np.testing.assert_array_equal(batch.queries, [[1, 0, 0], [2, 3, 4]])
+        assert batch.core.tolist() == [0, 3, 4, 5]
+        # in a recorded batch and in one whose equal windows share a row: rows
+        # in order of first use, each sentence's row its assembled ids, then
+        # pads, and its query slots its core first subtokens, then BOS
         recorded = batch_of(*ctxs)
         with ad.no_grad():
             shared = batch_of(*ctxs)
-        assert (recorded.ids.shape, shared.ids.shape) == ((3, 6), (2, 6))
+        windows = [ctx.window.tobytes() for ctx in ctxs]
+        assert recorded.owner.tolist() == list(range(len(ctxs)))
+        assert shared.owner.tolist() == [list(dict.fromkeys(windows)).index(w)
+                                         for w in windows]
+        aligned = [ctx.shifted_alignment() for ctx in ctxs]
+        m = max(map(len, aligned))
         for batch in (recorded, shared):
-            for ctx, r in zip(ctxs, batch.owner):
+            assert len(batch.ids) == batch.owner.max() + 1
+            assert batch.core_width == m and batch.queries.shape == (len(ctxs), m)
+            assert batch.core_rows().tolist() == [batch.owner[b] * batch.width + p
+                                                  for b, a in enumerate(aligned) for p in a]
+            assert batch.core.tolist() == [b * m + j for b, a in enumerate(aligned)
+                                           for j in range(len(a))]
+            for b, (ctx, r) in enumerate(zip(ctxs, batch.owner)):
                 pads = [PAD] * (batch.width - ctx.assembled_length)
                 assert batch.ids[r].tolist() == ctx.assembled_ids() + pads
+                assert batch.queries[b].tolist() == aligned[b] + [0] * (m - len(aligned[b]))
 
     def test_equal_inputs_share_a_row_only_without_a_graph(self, encoder):
         ctxs = [make_ctx([5, 6], right=[7]), make_ctx([5]), make_ctx([6, 7], left=[5])]
         assert ctxs[0].assembled_ids() == ctxs[2].assembled_ids()
         recorded = batch_of(*ctxs)
-        assert (recorded.owner, len(recorded.ids)) == ([0, 1, 2], 3)
+        assert (recorded.owner.tolist(), len(recorded.ids)) == ([0, 1, 2], 3)
         with ad.no_grad():
             batch = batch_of(*ctxs)
             hidden = encode_transformer(batch, encoder)
-        assert batch.owner == [0, 1, 0] and batch.lengths == [5, 3]
+        assert batch.owner.tolist() == [0, 1, 0] and batch.lengths == [5, 3]
         assert batch.assembled_ids() == [0, 5, 6, 7, 1, 0, 5, 1, PAD, PAD]
-        assert batch.core_rows() == [1, 2, 6, 2, 3]
-        np.testing.assert_array_equal(batch.query_positions(), [[1, 2], [1, 0], [2, 3]])
+        assert batch.core_rows().tolist() == [1, 2, 6, 2, 3]
+        np.testing.assert_array_equal(batch.queries, [[1, 2], [1, 0], [2, 3]])
         assert hidden[0].shape[0] == 2 * 5 and hidden[-1].shape[0] == 3 * 2
         with pytest.raises(ValueError, match="no_grad"):
             encode_transformer(batch, encoder)
@@ -286,7 +320,7 @@ def run_encoder(forward, enc, batch, ids, strategy, upstream, seed):
     slot, the repeated BOS slots included; dropout drawn from `seed`."""
     for param in enc.parameters():
         param.grad = None
-    hidden = forward(ids, batch.lengths, batch.query_positions(), train=True,
+    hidden = forward(ids, batch.lengths, batch.owner, batch.queries, train=True,
                      rng=np.random.default_rng(seed))
     pooled = pool_layers(extract_core_tokens(hidden, batch, strategy), strategy)
     slots = np.cos(np.arange(hidden[-1].data.size)).reshape(hidden[-1].shape)
@@ -307,7 +341,7 @@ class TestFusedLayer:
     def test_matches_op_by_op_oracle(self, rng, strategy, dropout):
         enc, batch, ids = padded_encoder_case(rng, dropout)
         width = 8 * (4 if strategy == "last_four_concat" else 1)
-        upstream = rng.normal(size=(len(batch.core_query_rows()), width))
+        upstream = rng.normal(size=(len(batch.core), width))
         fused = run_encoder(enc.forward, enc, batch, ids, strategy, upstream, 5)
         oracle = run_encoder(lambda *args, **kw: transformer_forward(enc, *args, **kw),
                              enc, batch, ids, strategy, upstream, 5)
@@ -333,7 +367,7 @@ class TestFusedLayer:
         upstream = rng.normal(size=(4, 4))
 
         def objective():
-            hidden = enc.forward(ids, batch.lengths, batch.query_positions(),
+            hidden = enc.forward(ids, batch.lengths, batch.owner, batch.queries,
                                  train=True, rng=np.random.default_rng(11))
             core = extract_core_tokens(hidden, batch, "all_layer_mean")
             return ad.tsum(pool_layers(core, "all_layer_mean") * upstream) * 1e-4
@@ -347,7 +381,7 @@ class TestFusedLayer:
         generator = np.random.default_rng(0)
         state = generator.bit_generator.state
         with ad.no_grad():
-            enc.forward(ids, batch.lengths, batch.query_positions(), rng=generator)
+            enc.forward(ids, batch.lengths, batch.owner, batch.queries, rng=generator)
         assert generator.bit_generator.state == state
 
 

@@ -361,6 +361,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"context {field} must be"):
             NerModel.load(path)
 
+    @pytest.mark.parametrize("key,field,value,expected", [
+        ("transformer", "layers", 2.0, "int"), ("transformer", "heads", True, "int"),
+        ("transformer", "max_positions", "64", "int"),
+        ("transformer", "dropout", "0.1", "float"), ("transformer", "dropout", None, "float"),
+        ("context", "enforce_boundaries", 1, "bool"), ("context", "window", [4], "int")])
+    def test_mistyped_config_meta_value_rejected(self, setup, tmp_path, key, field, value,
+                                                 expected):
+        path = saved_then_edited(setup, tmp_path,
+                                 edit_meta=lambda meta: meta[key].update({field: value}))
+        with pytest.raises(ValueError, match=f"^checkpoint meta {key} {field} must be "
+                                             f"{expected}, got "):
+            NerModel.load(path)
+
     def test_non_finite_parameter_rejected(self, setup, tmp_path):
         def poison(arrays):
             arrays["param/head_b"] = arrays["param/head_b"].copy()
